@@ -37,7 +37,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from . import curve_model, tate_series
-from .padic import from_rational, hensel_lift
+from .padic import from_rational, hensel_lift, int_valuation
 from .prime_search import PrimalityEvidence, _small_primes, is_prime
 from .target_builder import assemble_curve
 
@@ -238,10 +238,10 @@ def _c10(cert: Certificate):
     # perturbed one so the lifting below is a genuine Newton run
     q0 = p ** (2 * p) + p**r
     f = [-q0] + [0] * (2 * p - 1) + [1]  # x^(2p) - q0
-    v_f = _int_val(p ** (2 * p) - q0, p)
+    v_f = int_valuation(p ** (2 * p) - q0, p)
     if not (v_f >= r):
         return False, f"v_p(p^(2p) - q0) = {v_f} < {r}"
-    tau = _int_val(2 * p * p ** (2 * p - 1), p)
+    tau = int_valuation(2 * p * p ** (2 * p - 1), p)
     if tau != 2 * p:
         return False, f"tau = {tau}, expected 2p"
     if r < 2 * tau + 1:
@@ -253,16 +253,6 @@ def _c10(cert: Certificate):
         return False, "refined root does not satisfy the polynomial"
     ok = beta.residue % p ** (2 * p + 1) == p
     return ok, f"tau = 2p, j = 4p+1, lifted root = p mod p^(2p+1): {ok}"
-
-
-def _int_val(n: int, p: int):
-    if n == 0:
-        return math.inf
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
 
 
 def _c11(cert: Certificate, ell_bound: int = 1000):

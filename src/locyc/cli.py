@@ -3,7 +3,7 @@
 Exit codes are the machine contract:
   0   success (or: every check passed)
   1   verification failure
-  2   search budget exhausted
+  2   search ended without a hit (test budget or d range exhausted)
   3   internal invariant failure
   64  usage error
   65  certificate parse error
@@ -18,7 +18,9 @@ import sys
 
 from . import __version__
 from .certificate import (
+    Certificate,
     CertificateFormatError,
+    CheckReport,
     build_certificate,
     emit,
     parse,
@@ -26,7 +28,7 @@ from .certificate import (
     with_report,
 )
 from .padic import format_expansion
-from .prime_search import BudgetExhaustedError, SearchConfig, search
+from .prime_search import BudgetExhaustedError, SearchConfig, is_prime, search
 from .target_builder import build_targets, linear_forms
 from .tate_series import build_bundle
 
@@ -45,35 +47,14 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _is_prime_int(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
 def _check_prime_arg(p: int) -> None:
-    if not _is_prime_int(p):
+    if p < 2 or not is_prime(p).is_prime_enough():
         raise UsageError(f"{p} is not prime")
     if p < 5:
         raise UsageError(
             f"p = {p} is too small: the construction needs p >= 5 "
             "(4 must be a unit and the torsion argument fails below 5)"
         )
-
-
-def _default_workers() -> int:
-    env = os.environ.get("LOCYC_WORKERS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
 
 
 def build_parser() -> _Parser:
@@ -86,7 +67,7 @@ def build_parser() -> _Parser:
     c.add_argument("--seed", type=int, default=1)
     c.add_argument("--budget", type=int, default=200000, help="max primality tests")
     c.add_argument("--out", default=None, help="certificate path (default certificate-p<P>.json)")
-    c.add_argument("--workers", type=int, default=None)
+    c.add_argument("--workers", type=int, default=1)
     c.add_argument("--d-range", type=int, default=512)
     c.add_argument("--x-window", type=int, default=4096)
     c.add_argument("--sieve-bound", type=int, default=30000)
@@ -103,39 +84,58 @@ def build_parser() -> _Parser:
     return parser
 
 
+def construct(p: int, config: SearchConfig) -> tuple[Certificate, CheckReport]:
+    """The whole construction for p: series bundle, CRT targets, the
+    simultaneous-prime search, then the certificate and its C1..C12 report.
+
+    The certificate comes back with that report attached.  Raises
+    BudgetExhaustedError when the search stops without a hit.
+    """
+    log.info(
+        "event=construct_start p=%d seed=%d workers=%d",
+        p,
+        config.seed,
+        config.worker_count,
+    )
+    bundle = build_bundle(p)
+    target = build_targets(bundle)
+    x0, y0, evidence = search(linear_forms(target), target, config)
+    cert = build_certificate(target, x0, y0, evidence, bundle, seed=config.seed)
+    report = verify_certificate(cert)
+    return with_report(cert, report), report
+
+
+def _write_atomically(path: str, text: str) -> None:
+    """Write through a temporary file in the same directory, so the path
+    holds either nothing or the whole text."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
 def _cmd_construct(args) -> int:
     _check_prime_arg(args.prime)
     if args.budget < 0:
         raise UsageError("budget must be nonnegative")
-    workers = args.workers if args.workers is not None else _default_workers()
     config = SearchConfig(
         seed=args.seed,
         d_range=args.d_range,
         x_window=args.x_window,
         sieve_bound=args.sieve_bound,
         budget=args.budget,
-        worker_count=workers,
+        worker_count=args.workers,
     )
     out = args.out or f"certificate-p{args.prime}.json"
-    p = args.prime
-    log.info("event=construct_start p=%d seed=%d workers=%d", p, args.seed, workers)
-    bundle = build_bundle(p)
-    target = build_targets(bundle)
-    forms = linear_forms(target)
     try:
-        x0, y0, evidence = search(forms, target, config)
+        cert, report = construct(args.prime, config)
     except BudgetExhaustedError as exc:
-        st = exc.stats
-        log.error(
-            "event=budget_exhausted d_examined=%d survivors=%d tests=%d",
-            st.d_examined,
-            st.survivors_tested,
-            st.tests_used,
-        )
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    cert = build_certificate(target, x0, y0, evidence, bundle, seed=args.seed)
-    report = verify_certificate(cert)
     if not report.all_passed:
         for line in report.lines():
             print(line, file=sys.stderr)
@@ -145,8 +145,7 @@ def _cmd_construct(args) -> int:
             file=sys.stderr,
         )
         return 3
-    with open(out, "w") as fh:
-        fh.write(emit(with_report(cert, report)))
+    _write_atomically(out, emit(cert))
     log.info("event=certificate_written path=%s", out)
     print(f"certificate written to {out} (q1, q2, q3 of {cert.q1.bit_length()}, "
           f"{cert.q2.bit_length()}, {cert.q3.bit_length()} bits)")

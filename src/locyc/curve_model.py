@@ -8,9 +8,10 @@ over small prime fields.  No floating point anywhere.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
+
+from .padic import int_valuation
 
 POINT_COUNT_BOUND = 10**6
 
@@ -129,18 +130,6 @@ def transform(model: CurveModel, u, r, s, t) -> CurveModel:
     return CurveModel(na1, na2, na3, na4, na6)
 
 
-def compose_transforms(first, second):
-    """Parameters of applying `first` then `second` as one change."""
-    u1, r1, s1, t1 = map(_frac, first)
-    u2, r2, s2, t2 = map(_frac, second)
-    return (
-        u1 * u2,
-        u1 * u1 * r2 + r1,
-        u1 * s2 + s1,
-        u1**3 * t2 + u1 * u1 * s1 * r2 + t1,
-    )
-
-
 def two_model(a0: int, b0: int, c0: int) -> CurveModel:
     """Integral model with odd discriminant for roots in the residue
     classes 0, 1, 17 mod 64.
@@ -166,18 +155,7 @@ def two_model(a0: int, b0: int, c0: int) -> CurveModel:
 
 def _val_at(x: Fraction, prime: int):
     """Valuation of a rational at a prime; inf for zero."""
-    if x == 0:
-        return math.inf
-    v = 0
-    n = x.numerator
-    while n % prime == 0:
-        n //= prime
-        v += 1
-    d = x.denominator
-    while d % prime == 0:
-        d //= prime
-        v -= 1
-    return v
+    return int_valuation(x.numerator, prime) - int_valuation(x.denominator, prime)
 
 
 @dataclass(frozen=True)
@@ -188,9 +166,7 @@ class ReductionType:
     v_c4: object  # int or math.inf when c4 = 0
 
 
-def reduction_type(
-    model: CurveModel, prime: int, already_minimal: bool = False
-) -> ReductionType:
+def reduction_type(model: CurveModel, prime: int) -> ReductionType:
     """Classify reduction using the minimality shortcut only.
 
     A model with v(c4) < 4 or v(delta) < 12 is minimal at the prime.
@@ -203,7 +179,7 @@ def reduction_type(
     v_delta = _val_at(model.discriminant(), prime)
     c4, _ = model.c_invariants()
     v_c4 = _val_at(c4, prime)
-    minimal = already_minimal or v_c4 < 4 or v_delta < 12
+    minimal = v_c4 < 4 or v_delta < 12
     if not minimal:
         return ReductionType(prime, "additive-or-undetermined", v_delta, v_c4)
     if v_delta == 0:

@@ -110,14 +110,7 @@ class PadicInt:
         returns math.inf so comparisons like ``valuation >= r`` behave as
         intended whenever r <= precision.
         """
-        if self.residue == 0:
-            return math.inf
-        v = 0
-        r = self.residue
-        while r % self.prime == 0:
-            r //= self.prime
-            v += 1
-        return v
+        return int_valuation(self.residue, self.prime)
 
     def is_unit(self) -> bool:
         return self.residue % self.prime != 0
@@ -175,15 +168,16 @@ class PadicInt:
     def __str__(self):
         return format_expansion(self, min(self.precision, 12))
 
-    def sqrt(self, seed_mod_p: int) -> "PadicInt":
-        """Square root picking the branch congruent to the seed.
 
-        The input must have even valuation 2m; the seed is a residue mod p
-        with seed^2 congruent to the unit part of the input mod p.  The
-        result has precision N - m: the shift by p^m eats m digits.
-        Requires odd p (the Newton step divides by 2).
-        """
-        return sqrt(self, seed_mod_p)
+def int_valuation(n: int, p: int):
+    """Exponent of p in the integer n; math.inf for n = 0."""
+    if n == 0:
+        return math.inf
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
 
 
 def from_int(value: int, p: int, n: int) -> PadicInt:
@@ -199,6 +193,13 @@ def from_rational(num: int, den: int, p: int, n: int) -> PadicInt:
 
 
 def sqrt(a: PadicInt, seed_mod_p: int) -> PadicInt:
+    """Square root picking the branch congruent to the seed.
+
+    The input must have even valuation 2m; the seed is a residue mod p
+    with seed^2 congruent to the unit part of the input mod p.  The
+    result has precision N - m: the shift by p^m eats m digits.
+    Requires odd p (the Newton step divides by 2).
+    """
     p = a.prime
     if p == 2:
         raise ValueError("square root implemented for odd p only")
@@ -244,16 +245,6 @@ def _poly_deriv(coeffs: Sequence[int]) -> list[int]:
     return [i * c for i, c in enumerate(coeffs) if i >= 1]
 
 
-def _int_valuation(n: int, p: int):
-    if n == 0:
-        return math.inf
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
-
-
 def hensel_lift(
     coeffs: Sequence[int],
     alpha: int,
@@ -275,8 +266,8 @@ def hensel_lift(
     # exact evaluations: alpha and the coefficients are plain integers
     fa = sum(c * alpha**i for i, c in enumerate(coeffs))
     fpa = sum(c * alpha**i for i, c in enumerate(deriv))
-    v_fa = _int_valuation(fa, p)
-    v_fpa = _int_valuation(fpa, p)
+    v_fa = int_valuation(fa, p)
+    v_fpa = int_valuation(fpa, p)
     if v_fa < j:
         raise ValueError(
             f"f(alpha) has valuation {v_fa}, below the required {j}"
@@ -307,7 +298,7 @@ def hensel_lift(
             known = work
             break
         dx = _poly_eval_mod(ds, x, big)
-        v_dx = _int_valuation(dx, p)
+        v_dx = int_valuation(dx, p)
         if v_dx != tau:
             raise ArithmeticError(
                 f"derivative valuation drifted to {v_dx} during lifting"

@@ -21,6 +21,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
+from .padic import int_valuation
 from .target_builder import CongruenceTarget, LinearFormTriple
 
 log = logging.getLogger(__name__)
@@ -57,11 +58,8 @@ class PrimalityEvidence:
 
 
 def _strong_probable_prime(n: int, base: int) -> bool:
-    d = n - 1
-    s = 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
+    s = int_valuation(n - 1, 2)
+    d = (n - 1) >> s
     x = pow(base % n, d, n)
     if x == 1 or x == n - 1:
         return True
@@ -76,10 +74,10 @@ def _jacobi(a: int, n: int) -> int:
     a %= n
     result = 1
     while a:
-        while a % 2 == 0:
-            a //= 2
-            if n % 8 in (3, 5):
-                result = -result
+        t = int_valuation(a, 2)
+        a >>= t
+        if t % 2 and n % 8 in (3, 5):
+            result = -result
         a, n = n, a
         if a % 4 == 3 and n % 4 == 3:
             result = -result
@@ -106,11 +104,8 @@ def _strong_lucas(n: int):
         D = -D - 2 if D > 0 else -D + 2
     # P = 1, Q = (1 - D)/4; strong test on n + 1 = d * 2^s2
     Q = (1 - D) // 4
-    d = n + 1
-    s2 = 0
-    while d % 2 == 0:
-        d //= 2
-        s2 += 1
+    s2 = int_valuation(n + 1, 2)
+    d = (n + 1) >> s2
     inv2 = (n + 1) // 2
     u, v, qk = 1, 1, Q % n
     for bit in bin(d)[3:]:
@@ -193,11 +188,20 @@ class SearchStats:
 
 
 class BudgetExhaustedError(RuntimeError):
-    def __init__(self, stats: SearchStats):
+    """The search stopped without a hit, because the primality-test
+    budget ran out or because every d of the range was examined first."""
+
+    def __init__(self, stats: SearchStats, budget: int):
+        if stats.tests_used >= budget:
+            cause = f"primality-test budget exhausted after {stats.tests_used} tests"
+        else:
+            cause = (
+                f"d range exhausted after {stats.tests_used} of {budget} "
+                "budgeted tests"
+            )
         super().__init__(
-            f"primality-test budget exhausted after {stats.tests_used} tests "
-            f"({stats.d_examined} d values, {stats.survivors_tested} survivors); "
-            "this bounds the search, it does not disprove existence"
+            f"{cause} ({stats.d_examined} d values, {stats.survivors_tested} "
+            "survivors); this bounds the search, it does not disprove existence"
         )
         self.stats = stats
 
@@ -254,7 +258,8 @@ def search(
     Deterministic given (target, config): the d stream order comes from
     the seed alone and the reported hit is the lexicographically first
     (d-index, X) among all hits, independent of worker count.  Raises
-    BudgetExhaustedError once the primality-test budget is consumed.
+    BudgetExhaustedError once the primality-test budget is consumed or
+    the d range runs out, whichever comes first.
     """
     t0 = time.monotonic()
     sieve_primes = _small_primes(config.sieve_bound)
@@ -322,7 +327,7 @@ def search(
         stats.elapsed_s,
     )
     if hit is None:
-        raise BudgetExhaustedError(stats)
+        raise BudgetExhaustedError(stats, config.budget)
     x0, y0 = hit
     evidence = (
         is_prime(forms.q1_at(x0)),

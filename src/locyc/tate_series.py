@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .padic import PadicInt, from_rational, hensel_lift
+from .padic import PadicInt, from_rational, hensel_lift, sqrt
 
 
 def _h(z: int, modulus: int) -> int:
@@ -208,7 +208,7 @@ def oracle_cubic_roots(
             f"discriminant valuation {v}, expected {2 * p}: series digits "
             "disagree with the cubic"
         )
-    sq = disc.sqrt(16 % p)
+    sq = sqrt(disc, 16 % p)
     inv2 = from_rational(1, 2, p, work)
     r_plus = (-root1 + sq) * inv2
     r_minus = (-root1 - sq) * inv2

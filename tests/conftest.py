@@ -1,8 +1,8 @@
 import pytest
 
-from locyc.certificate import build_certificate, verify_certificate
-from locyc.prime_search import SearchConfig, search
-from locyc.target_builder import build_targets, linear_forms
+from locyc.cli import construct
+from locyc.prime_search import SearchConfig
+from locyc.target_builder import build_targets
 from locyc.tate_series import build_bundle
 
 
@@ -12,29 +12,19 @@ def bundle5():
 
 
 @pytest.fixture(scope="session")
-def bundle7():
-    return build_bundle(7)
-
-
-@pytest.fixture(scope="session")
 def target5(bundle5):
     return build_targets(bundle5)
 
 
 @pytest.fixture(scope="session")
-def cert5(bundle5, target5):
+def cert5():
     """One verified p = 5 certificate shared by the whole suite."""
-    forms = linear_forms(target5)
-    x0, y0, evidence = search(forms, target5, SearchConfig(seed=1))
-    cert = build_certificate(target5, x0, y0, evidence, bundle5, seed=1)
-    report = verify_certificate(cert)
+    cert, report = construct(5, SearchConfig(seed=1))
     assert report.all_passed, report.lines()
     return cert
 
 
 @pytest.fixture(scope="session")
-def cert7(bundle7):
-    target = build_targets(bundle7)
-    forms = linear_forms(target)
-    x0, y0, evidence = search(forms, target, SearchConfig(seed=1))
-    return build_certificate(target, x0, y0, evidence, bundle7, seed=1)
+def cert7():
+    cert, _ = construct(7, SearchConfig(seed=1))
+    return cert

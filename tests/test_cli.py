@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from locyc import cli
 from locyc.certificate import emit, parse
 from dataclasses import replace
@@ -19,8 +21,9 @@ def test_construct_and_verify_roundtrip(tmp_path, capsys):
 
 
 def test_construct_rejects_composite_prime(capsys):
-    assert run(["construct", "--prime", "4"]) == 64
-    assert "not prime" in capsys.readouterr().err
+    for value in ("4", "-7", "0", "1"):
+        assert run(["construct", "--prime", value]) == 64
+        assert "not prime" in capsys.readouterr().err
 
 
 def test_construct_rejects_small_primes(capsys):
@@ -35,6 +38,16 @@ def test_construct_zero_budget(tmp_path):
     )
     assert code == 2
     assert not out.exists()
+
+
+def test_interrupted_write_leaves_no_file(tmp_path, monkeypatch):
+    def interrupt(src, dst):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli.os, "replace", interrupt)
+    with pytest.raises(KeyboardInterrupt):
+        run(["construct", "--prime", "5", "--out", str(tmp_path / "cert.json")])
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_verify_garbage_file(tmp_path, capsys):

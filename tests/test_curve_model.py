@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from locyc.curve_model import (
     CurveModel,
-    compose_transforms,
     count_points_mod_ell,
     reduction_type,
     split_delta_and_reduced_c4,
@@ -170,20 +169,6 @@ def test_split_model_identities(a, b, c):
     delta, c4r = split_delta_and_reduced_c4(a, b, c)
     assert m.discriminant() == delta == 16 * ((a - b) * (b - c) * (c - a)) ** 2
     assert m.c_invariants()[0] == 16 * c4r
-
-
-unit = st.sampled_from([1, -1, 2, 3, Fraction(1, 2), Fraction(-2, 3)])
-shift = st.sampled_from([0, 1, -2, Fraction(1, 3), Fraction(-3, 4)])
-
-
-@given(unit, shift, shift, shift, unit, shift, shift, shift)
-@settings(max_examples=150)
-def test_transform_composition_law(u1, r1, s1, t1, u2, r2, s2, t2):
-    m = split_model(0, 1, 17)
-    g, h = (u1, r1, s1, t1), (u2, r2, s2, t2)
-    once = transform(transform(m, *g), *h)
-    combined = transform(m, *compose_transforms(g, h))
-    assert once == combined
 
 
 @given(st.sampled_from([3, 5, 7, 11, 13, 19, 31, 97, 101]), small, small, small)

@@ -111,6 +111,7 @@ def test_zero_budget_exhausts(target5):
     stats = info.value.stats
     assert stats.tests_used == 0
     assert stats.survivors_tested == 0
+    assert "budget exhausted" in str(info.value)
 
 
 def test_tiny_budget_reports_statistics(target5):
@@ -118,3 +119,12 @@ def test_tiny_budget_reports_statistics(target5):
     with pytest.raises(BudgetExhaustedError) as info:
         search(forms, target5, SearchConfig(seed=1, budget=1, d_range=3))
     assert info.value.stats.tests_used >= 1
+
+
+def test_end_of_d_range_is_not_reported_as_budget_exhaustion(target5):
+    forms = linear_forms(target5)
+    with pytest.raises(BudgetExhaustedError) as info:
+        search(forms, target5, SearchConfig(seed=1, d_range=1))
+    assert info.value.stats.tests_used == 1
+    assert "d range exhausted" in str(info.value)
+    assert "budget exhausted" not in str(info.value)
