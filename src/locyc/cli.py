@@ -28,7 +28,13 @@ from .certificate import (
     with_report,
 )
 from .padic import format_expansion
-from .prime_search import BudgetExhaustedError, SearchConfig, is_prime, search
+from .prime_search import (
+    BudgetExhaustedError,
+    SearchConfig,
+    is_prime,
+    search,
+    with_sieve_bound,
+)
 from .target_builder import build_targets, linear_forms
 from .tate_series import build_bundle
 
@@ -70,7 +76,12 @@ def build_parser() -> _Parser:
     c.add_argument("--workers", type=int, default=1)
     c.add_argument("--d-range", type=int, default=512)
     c.add_argument("--x-window", type=int, default=4096)
-    c.add_argument("--sieve-bound", type=int, default=30000)
+    c.add_argument(
+        "--sieve-bound",
+        type=int,
+        default=None,
+        help="largest sieve prime (default: b^2/4 for b-bit forms, at least 30000)",
+    )
     c.add_argument("-v", "--verbose", action="store_true")
 
     v = sub.add_parser("verify", help="re-run every check of a certificate file")
@@ -91,15 +102,18 @@ def construct(p: int, config: SearchConfig) -> tuple[Certificate, CheckReport]:
     The certificate comes back with that report attached.  Raises
     BudgetExhaustedError when the search stops without a hit.
     """
+    bundle = build_bundle(p)
+    target = build_targets(bundle)
+    forms = linear_forms(target)
+    config = with_sieve_bound(config, forms)
     log.info(
-        "event=construct_start p=%d seed=%d workers=%d",
+        "event=construct_start p=%d seed=%d workers=%d sieve_bound=%d",
         p,
         config.seed,
         config.worker_count,
+        config.sieve_bound,
     )
-    bundle = build_bundle(p)
-    target = build_targets(bundle)
-    x0, y0, evidence = search(linear_forms(target), target, config)
+    x0, y0, evidence = search(forms, target, config)
     cert = build_certificate(target, x0, y0, evidence, bundle, seed=config.seed)
     report = verify_certificate(cert)
     return with_report(cert, report), report
@@ -122,6 +136,14 @@ def _cmd_construct(args) -> int:
     _check_prime_arg(args.prime)
     if args.budget < 0:
         raise UsageError("budget must be nonnegative")
+    for flag, value, least in (
+        ("--d-range", args.d_range, 1),
+        ("--x-window", args.x_window, 1),
+        ("--workers", args.workers, 1),
+        ("--sieve-bound", args.sieve_bound, 2),
+    ):
+        if value is not None and value < least:
+            raise UsageError(f"{flag} must be at least {least}, got {value}")
     config = SearchConfig(
         seed=args.seed,
         d_range=args.d_range,

@@ -5,11 +5,34 @@ this module runs a bounded, reproducible search instead of a proof.
 Strategy: the identity Q1 - Q2 = 16 p^p Q3 means fixing d = X - Y fixes
 Q3, reducing the triple condition to a twin-like one.  The d values are
 visited in a seed-shuffled order; for each d whose Q3 value is prime,
-one window of X values is sieved against small primes for Q1(X) and
-Q2(X - d) simultaneously and the survivors are tested in ascending
-order.  The winner is the hit with the smallest (d-index, X) position
-in that stream, which makes the result independent of how many workers
-ran the probes.
+one window of X values is sieved for Q1(X) and Q2(X - d) simultaneously
+and the survivors are tested in ascending order.  The winner is the hit
+with the smallest (d-index, X) position in that stream, which makes the
+result independent of how many workers ran the probes.
+
+Only where a hit can be does the search run Miller-Rabin:
+
+- Sieve tables.  Each search computes, once, the root of every form
+  modulo every sieve prime ell: ell | Q(t) exactly when t is congruent
+  to the root.  A window is then marked with slice assignments alone;
+  Q2(X - d) is Q2 sieved over Y = X - d.  A form value that equals a
+  sieve prime is never sieved out.
+- Q3 sieve.  Before any test, the Q3 values of the whole d range are
+  sieved with the same primes.  A marked d is examined without a
+  primality test.
+- Screen.  A window survivor gets a base-2 strong-probable-prime test
+  on Q1, then on Q2.  Only when both pass does ``is_prime`` run on Q1
+  and then Q2.  A prime passes the screen, so both ``is_prime``
+  verdicts still decide the hit and the hit is the one that testing
+  every survivor with ``is_prime`` would find.
+- Evidence.  The search returns the ``is_prime`` evidence it computed
+  for the hit's Q1, Q2 and Q3; the certificate check C2 re-tests all
+  three.
+
+Budget accounting: every d examined costs one test, whether the sieve
+or ``is_prime`` rejected its Q3; a window survivor costs one test, plus
+one more when its Q1 passes the screen.  The default sieve bound grows with the bit size of the window
+forms (``default_sieve_bound``).
 """
 
 from __future__ import annotations
@@ -18,8 +41,12 @@ import logging
 import math
 import random
 import time
+from array import array
+from bisect import bisect_left
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from contextlib import closing
+from dataclasses import dataclass, replace
+from itertools import compress
 
 from .padic import int_valuation
 from .target_builder import CongruenceTarget, LinearFormTriple
@@ -34,13 +61,18 @@ _TRIAL_BOUND = 1000
 _EXTRA_SPRP_ROUNDS = 8
 
 
-def _small_primes(limit: int) -> list[int]:
-    sieve = bytearray([1]) * (limit + 1)
-    sieve[0:2] = b"\x00\x00"
+def _prime_flags(limit: int) -> bytearray:
+    """flags[n] is 1 exactly when n <= limit is prime."""
+    flags = bytearray([1]) * (limit + 1)
+    flags[0:2] = b"\x00\x00"
     for i in range(2, math.isqrt(limit) + 1):
-        if sieve[i]:
-            sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
-    return [i for i, f in enumerate(sieve) if f]
+        if flags[i]:
+            flags[i * i :: i] = bytearray(len(flags[i * i :: i]))
+    return flags
+
+
+def _small_primes(limit: int) -> list[int]:
+    return list(compress(range(limit + 1), _prime_flags(limit)))
 
 
 _TRIAL_PRIMES = _small_primes(_TRIAL_BOUND)
@@ -172,7 +204,7 @@ class SearchConfig:
     seed: int = 1
     d_range: int = 512
     x_window: int = 4096
-    sieve_bound: int = 30000
+    sieve_bound: int | None = None  # None: default_sieve_bound(forms)
     budget: int = 200000
     worker_count: int = 1
 
@@ -206,48 +238,221 @@ class BudgetExhaustedError(RuntimeError):
         self.stats = stats
 
 
-def _sieve_window(
-    constant: int, coefficient: int, start: int, length: int, primes: list[int]
-) -> bytearray:
-    """Mark X in [start, start+length) where constant + coefficient*X is
-    divisible by a sieve prime not dividing the coefficient."""
-    marks = bytearray(length)
-    for ell in primes:
-        if coefficient % ell == 0:
-            continue  # form is never 0 mod ell (constants are checked coprime)
-        root = -constant * pow(coefficient, -1, ell) % ell
-        first = (root - start) % ell
-        marks[first::ell] = b"\x01" * len(marks[first::ell])
-    return marks
+_MIN_SIEVE_BOUND = 30000
 
 
-def _probe_d(args):
-    """Examine one d: test Q3, then sieve and test one X window.
+def default_sieve_bound(forms: LinearFormTriple) -> int:
+    """Sieve bound for the forms: b^2 / 4 for b-bit window coefficients,
+    and at least 30000.
 
-    Returns (d, q3_was_prime, hit_x or None, tests_at_hit, total_tests,
-    survivors_tested, sieved_flag).  Pure function of its arguments.
+    The classical rule: sieve on while crossing off one more candidate
+    costs less than the modular exponentiation it saves.  A b-bit
+    strong-probable-prime test costs about b squarings of b-bit numbers,
+    about b^3 bit operations; finding a candidate that ell divides takes
+    about ell divisions of a b-bit number, about ell * b bit operations.
+    So the break-even prime grows like b^2.  The factor 1/4 was measured
+    on the construct ladder p = 41..53 (b^2/8 and b^2 were both slower).
+    The floor is the earlier fixed bound; it holds for p <= 19.
     """
-    (d, q1c, q2c, q3c, coeff, q3coeff, x_window, sieve_primes) = args
-    q3 = q3c + q3coeff * d
-    tests = 1
-    if q3 <= 0 or not is_prime(q3).is_prime_enough():
-        return d, False, None, 0, tests, 0, False
+    bits = forms.q12_coefficient.bit_length()
+    return max(_MIN_SIEVE_BOUND, bits * bits // 4)
+
+
+def with_sieve_bound(config: SearchConfig, forms: LinearFormTriple) -> SearchConfig:
+    """The config with its sieve bound set: the given one, or else the
+    forms' default."""
+    if config.sieve_bound is not None:
+        return config
+    return replace(config, sieve_bound=default_sieve_bound(forms))
+
+
+def _root_tables(
+    coefficient: int, constants: tuple[int, ...], primes: array
+) -> tuple[array, ...]:
+    """(ells, roots of each constant): the primes not dividing the
+    coefficient, and for each constant k the t mod ell with
+    ell | k + coefficient * t."""
+    ells = array("I")
+    roots = tuple(array("I") for _ in constants)
+    for ell in primes:
+        c = coefficient % ell
+        if c:  # otherwise the form is never 0 mod ell (constants are coprime)
+            minus_inverse = ell - pow(c, -1, ell)
+            ells.append(ell)
+            for table, k in zip(roots, constants):
+                table.append(k % ell * minus_inverse % ell)
+    return (ells, *roots)
+
+
+def _sieve_form(
+    marks: bytearray,
+    lo: int,
+    constant: int,
+    coefficient: int,
+    ells: array,
+    roots: array,
+) -> None:
+    """Set marks[i] where a prime of ``ells`` divides the form value
+    constant + coefficient * (lo + i) and is not equal to it.
+
+    Marks already set stay set.  The coefficient is positive.
+    """
+    n = len(marks)
+    # values that are themselves sieve primes: only they divide them,
+    # so whatever marked them before this form keeps its say
+    keep = []
+    if ells:
+        for i in range(min(n, (ells[-1] - constant) // coefficient - lo + 1)):
+            v = constant + coefficient * (lo + i)
+            j = bisect_left(ells, v)
+            if j < len(ells) and ells[j] == v:
+                keep.append((i, marks[i]))
+    ones = memoryview(b"\x01" * n)
+    for ell, root in zip(ells, roots):
+        first = (root - lo) % ell
+        if first < n:
+            marks[first::ell] = ones[: (n - 1 - first) // ell + 1]
+    for i, mark in keep:
+        marks[i] = mark
+
+
+class SieveTables:
+    """The forms' roots modulo every sieve prime up to ``bound``, built
+    once per search.
+
+    ell | Q1(X) iff X = q1_roots[k] mod ell, and ell | Q2(Y) iff
+    Y = q2_roots[k] mod ell, for ell = window_primes[k]; likewise
+    ell | Q3(d) iff d = q3_roots[k] mod ell for ell = q3_primes[k].
+    Primes dividing a form's coefficient are left out of its table.
+    """
+
+    def __init__(self, forms: LinearFormTriple, bound: int):
+        primes = array("I", compress(range(bound + 1), _prime_flags(bound)))
+        self.forms = forms
+        self.window_primes, self.q1_roots, self.q2_roots = _root_tables(
+            forms.q12_coefficient, (forms.q1_constant, forms.q2_constant), primes
+        )
+        self.q3_primes, self.q3_roots = _root_tables(
+            forms.q3_coefficient, (forms.q3_constant,), primes
+        )
+
+    def window_marks(self, d: int, x_start: int, length: int) -> bytearray:
+        """Marks of X in [x_start, x_start + length): set where a sieve
+        prime divides Q1(X) or Q2(X - d) without being equal to it."""
+        f = self.forms
+        marks = bytearray(length)
+        _sieve_form(marks, x_start, f.q1_constant, f.q12_coefficient,
+                    self.window_primes, self.q1_roots)
+        _sieve_form(marks, x_start - d, f.q2_constant, f.q12_coefficient,
+                    self.window_primes, self.q2_roots)
+        return marks
+
+    def q3_marks(self, d_lo: int, length: int) -> bytearray:
+        """Marks of d in [d_lo, d_lo + length): set where a sieve prime
+        divides Q3(d) without being equal to it."""
+        f = self.forms
+        marks = bytearray(length)
+        _sieve_form(marks, d_lo, f.q3_constant, f.q3_coefficient,
+                    self.q3_primes, self.q3_roots)
+        return marks
+
+
+def _passes_screen(n: int) -> bool:
+    """Base-2 strong-probable-prime test; every prime passes it."""
+    return n < 3 or _strong_probable_prime(n, 2)
+
+
+# (q3_was_prime, hit, tests, survivors) of a d whose Q3 is not prime; the
+# one test is the sieve's or is_prime's
+_Q3_NOT_PRIME = (False, None, 1, 0)
+
+
+def _probe_d(tables: SieveTables, x_window: int, d: int):
+    """Examine one d that survived the Q3 sieve: test Q3, then sieve
+    and screen one X window.
+
+    Returns (q3_was_prime, hit, tests, survivors) with hit either None or
+    (x, (Q1 evidence, Q2 evidence, Q3 evidence)).  Pure function of its
+    arguments.
+    """
+    forms = tables.forms
+    q3 = forms.q3_at(d)
+    if q3 <= 0:
+        return _Q3_NOT_PRIME
+    q3_evidence = is_prime(q3)
+    if not q3_evidence.is_prime_enough():
+        return _Q3_NOT_PRIME
     x_start = max(0, d)
-    m1 = _sieve_window(q1c, coeff, x_start, x_window, sieve_primes)
-    m2 = _sieve_window(q2c - coeff * d, coeff, x_start, x_window, sieve_primes)
+    marks = tables.window_marks(d, x_start, x_window)
+    tests = 1
     survivors = 0
-    for i in range(x_window):
-        if m1[i] or m2[i]:
-            continue
+    i = marks.find(0)
+    while i >= 0:
         x = x_start + i
+        i = marks.find(0, i + 1)
         survivors += 1
         tests += 1
-        if not is_prime(q1c + coeff * x).is_prime_enough():
+        q1 = forms.q1_at(x)
+        if not _passes_screen(q1):
             continue
         tests += 1
-        if is_prime(q2c + coeff * (x - d)).is_prime_enough():
-            return d, True, x, tests, tests, survivors, True
-    return d, True, None, 0, tests, survivors, True
+        q2 = forms.q2_at(x - d)
+        if not _passes_screen(q2):
+            continue
+        # module-global lookups, so a wrapped is_prime sees these calls
+        q1_evidence = is_prime(q1)
+        if not q1_evidence.is_prime_enough():
+            continue
+        q2_evidence = is_prime(q2)
+        if q2_evidence.is_prime_enough():
+            hit = (x, (q1_evidence, q2_evidence, q3_evidence))
+            return True, hit, tests, survivors
+    return True, None, tests, survivors
+
+
+# the pool workers' copy of the search's tables, set by _init_worker
+_worker_args = None
+
+
+def _init_worker(tables: SieveTables, x_window: int) -> None:
+    global _worker_args
+    _worker_args = (tables, x_window)
+
+
+def _probe_in_worker(d: int):
+    return _probe_d(*_worker_args, d)
+
+
+def _probe_stream(ds, sieved, d_lo, tables, config):
+    """(d, probe result) for every d of ``ds``, in that order.
+
+    With several workers, blocks of up to ``worker_count`` d values
+    whose Q3 survived the sieve run in the pool, which holds the tables;
+    sieved-out d values never leave this process.
+    """
+    if config.worker_count <= 1:
+        for d in ds:
+            yield d, _Q3_NOT_PRIME if sieved[d - d_lo] else _probe_d(
+                tables, config.x_window, d
+            )
+        return
+    with ProcessPoolExecutor(
+        max_workers=config.worker_count,
+        initializer=_init_worker,
+        initargs=(tables, config.x_window),
+    ) as pool:
+        block, todo = [], []
+        for k, d in enumerate(ds):
+            block.append(d)
+            if not sieved[d - d_lo]:
+                todo.append(d)
+            if len(todo) < config.worker_count and k + 1 < len(ds):
+                continue
+            # results consumed in stream order, so scheduling is moot
+            results = pool.map(_probe_in_worker, todo)
+            for d in block:
+                yield d, _Q3_NOT_PRIME if sieved[d - d_lo] else next(results)
+            block, todo = [], []
 
 
 def search(
@@ -257,63 +462,38 @@ def search(
 
     Deterministic given (target, config): the d stream order comes from
     the seed alone and the reported hit is the lexicographically first
-    (d-index, X) among all hits, independent of worker count.  Raises
-    BudgetExhaustedError once the primality-test budget is consumed or
-    the d range runs out, whichever comes first.
+    (d-index, X) among all hits, independent of worker count and sieve
+    bound.  Returns the hit's is_prime evidence for (Q1, Q2, Q3).
+    Raises BudgetExhaustedError once the primality-test budget is
+    consumed or the d range runs out, whichever comes first.
     """
     t0 = time.monotonic()
-    sieve_primes = _small_primes(config.sieve_bound)
+    config = with_sieve_bound(config, forms)
+    tables = SieveTables(forms, config.sieve_bound)
     d_lo = 0 if forms.q3_constant > 0 else 1
-    ds = list(range(d_lo, d_lo + config.d_range))
+    # an array holds the d order in a quarter of a list's memory, and
+    # shuffle permutes both alike
+    ds = array("q", range(d_lo, d_lo + config.d_range))
     random.Random(config.seed).shuffle(ds)
+    sieved = tables.q3_marks(d_lo, config.d_range)
 
     stats = SearchStats()
     hit = None
-
-    def handle(result) -> bool:
-        nonlocal hit
-        d, q3p, hx, tests_at_hit, total_tests, survivors, sieved = result
-        if stats.tests_used >= config.budget:
-            return True
-        stats.d_examined += 1
-        stats.q3_primes += int(q3p)
-        stats.windows_sieved += int(sieved)
-        stats.survivors_tested += survivors
-        if hx is not None and stats.tests_used + tests_at_hit <= config.budget:
-            stats.tests_used += tests_at_hit
-            hit = (hx, hx - d)
-            return True
-        stats.tests_used += total_tests
-        return stats.tests_used >= config.budget
-
-    arg_of = lambda d: (
-        d,
-        forms.q1_constant,
-        forms.q2_constant,
-        forms.q3_constant,
-        forms.q12_coefficient,
-        forms.q3_coefficient,
-        config.x_window,
-        sieve_primes,
-    )
-
-    if config.worker_count <= 1:
-        for d in ds:
-            if handle(_probe_d(arg_of(d))):
+    if config.budget <= 0:
+        ds = array("q")  # no test may run, so no d is examined
+    with closing(_probe_stream(ds, sieved, d_lo, tables, config)) as stream:
+        for d, (q3_prime, d_hit, tests, survivors) in stream:
+            stats.d_examined += 1
+            stats.q3_primes += int(q3_prime)
+            stats.windows_sieved += int(q3_prime)
+            stats.survivors_tested += survivors
+            stats.tests_used += tests
+            if d_hit is not None and stats.tests_used <= config.budget:
+                x0, evidence = d_hit
+                hit = (x0, x0 - d, evidence)
                 break
-    else:
-        chunk = max(1, config.worker_count)
-        with ProcessPoolExecutor(max_workers=config.worker_count) as pool:
-            done = False
-            for i in range(0, len(ds), chunk):
-                block = ds[i : i + chunk]
-                # results consumed in stream order, so scheduling is moot
-                for result in pool.map(_probe_d, [arg_of(d) for d in block]):
-                    if handle(result):
-                        done = True
-                        break
-                if done:
-                    break
+            if stats.tests_used >= config.budget:
+                break
 
     stats.elapsed_s = time.monotonic() - t0
     log.info(
@@ -328,11 +508,5 @@ def search(
     )
     if hit is None:
         raise BudgetExhaustedError(stats, config.budget)
-    x0, y0 = hit
-    evidence = (
-        is_prime(forms.q1_at(x0)),
-        is_prime(forms.q2_at(y0)),
-        is_prime(forms.q3_at(x0 - y0)),
-    )
-    assert all(e.is_prime_enough() for e in evidence)
-    return x0, y0, evidence
+    return hit
+

@@ -1,4 +1,6 @@
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -121,3 +123,47 @@ def test_certificate_file_is_versioned_json(tmp_path):
     assert isinstance(doc["q1"], str)
     parsed = parse(out.read_text())
     assert parsed.p == 5
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--x-window", "0"),
+        ("--d-range", "-5"),
+        ("--workers", "-3"),
+        ("--sieve-bound", "-4"),
+        ("--sieve-bound", "1"),
+    ],
+)
+def test_search_flags_below_their_least_value_are_usage_errors(
+    tmp_path, capsys, flag, value
+):
+    out = tmp_path / "never.json"
+    code = run(["construct", "--prime", "5", flag, value, "--out", str(out)])
+    assert code == 64
+    err = capsys.readouterr().err
+    assert "usage error" in err and flag in err
+    assert not out.exists()
+
+
+REFERENCE_DIGESTS = (
+    Path(__file__).resolve().parents[1] / "perfbench" / "data" / "inputs.json"
+)
+LADDER_FLAGS = ["--seed", "1", "--d-range", "100000", "--x-window", "16384"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["construct", "--prime", "5", *LADDER_FLAGS],
+        ["construct", "--prime", "7", *LADDER_FLAGS],
+        ["construct", "--prime", "13", *LADDER_FLAGS],
+        ["construct", "--prime", "11", "--seed", "1"],
+    ],
+    ids=["p5-ladder", "p7-ladder", "p13-ladder", "p11-default"],
+)
+def test_certificate_bytes_match_the_stored_reference(tmp_path, argv):
+    reference = json.loads(REFERENCE_DIGESTS.read_text())["reference_sha256"]
+    out = tmp_path / "cert.json"
+    assert run([*argv, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == reference[" ".join(argv)]

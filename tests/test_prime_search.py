@@ -1,14 +1,20 @@
+import random
+
 import pytest
 
 from locyc.prime_search import (
     BudgetExhaustedError,
     SearchConfig,
-    _sieve_window,
+    SieveTables,
+    _root_tables,
+    _sieve_form,
     _small_primes,
+    default_sieve_bound,
     is_prime,
     search,
 )
-from locyc.target_builder import linear_forms
+from locyc.target_builder import LinearFormTriple, build_targets, linear_forms
+from locyc.tate_series import build_bundle
 
 
 def test_is_prime_small():
@@ -52,14 +58,29 @@ def test_small_primes():
     assert _small_primes(30) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
 
 
+def sieve_marks(constant, coefficient, start, length, primes):
+    ells, roots = _root_tables(coefficient, (constant,), primes)
+    marks = bytearray(length)
+    _sieve_form(marks, start, constant, coefficient, ells, roots)
+    return marks
+
+
+def sieved_out(v, coefficient, primes):
+    """Brute force: a sieve prime not dividing the coefficient divides
+    v without being equal to it."""
+    return any(v % ell == 0 and v != ell for ell in primes if coefficient % ell)
+
+
 def test_sieve_window_marks_correctly():
     primes = _small_primes(50)
     const, coeff, start, length = 15, 4, 0, 200
-    marks = _sieve_window(const, coeff, start, length, primes)
+    marks = sieve_marks(const, coeff, start, length, primes)
     for i in range(length):
         v = const + coeff * (start + i)
-        divisible = any(v % ell == 0 for ell in primes if coeff % ell != 0)
-        assert bool(marks[i]) == divisible, (i, v)
+        assert bool(marks[i]) == sieved_out(v, coeff, primes), (i, v)
+    # values 19, 23, 31, 43 and 47 are sieve primes themselves
+    for v in (19, 23, 31, 43, 47):
+        assert not marks[(v - const) // coeff], v
 
 
 def test_sieve_parity_self_check(target5):
@@ -70,10 +91,117 @@ def test_sieve_parity_self_check(target5):
     assert all((forms.q1_at(x)) % 2 == 1 for x in range(50))
     # a doctored odd-coefficient form: every X giving an even value is
     # rejected by the sieve before any primality test would run
-    marks = _sieve_window(15, 3, 0, 120, _small_primes(10))
+    marks = sieve_marks(15, 3, 0, 120, _small_primes(10))
     for i in range(120):
         if (15 + 3 * i) % 2 == 0:
             assert marks[i]
+
+
+# doctored forms with small constants, so that some form values are
+# themselves sieve primes; the coefficients share the primes 2 and 3
+DOCTORED = LinearFormTriple(
+    p=5, q1_constant=7, q2_constant=5, q3_constant=1,
+    q12_coefficient=6, q3_coefficient=4,
+)
+
+
+@pytest.mark.parametrize("forms_of", ["doctored", "p5"])
+def test_sieve_tables_mark_exactly_the_divisible_values(forms_of, target5):
+    forms = DOCTORED if forms_of == "doctored" else linear_forms(target5)
+    bound = 200
+    primes = _small_primes(bound)
+    tables = SieveTables(forms, bound)
+    coeff = forms.q12_coefficient
+    for d in (0, 1, 7, 40, 333):
+        for start in (0, 3, d, d + 190):
+            marks = tables.window_marks(d, start, 300)
+            for i, mark in enumerate(marks):
+                x = start + i
+                expected = sieved_out(forms.q1_at(x), coeff, primes) or sieved_out(
+                    forms.q2_at(x - d), coeff, primes
+                )
+                assert bool(mark) == expected, (d, x)
+    for d_lo in (0, 1, 150):
+        marks = tables.q3_marks(d_lo, 400)
+        for i, mark in enumerate(marks):
+            v = forms.q3_at(d_lo + i)
+            assert bool(mark) == sieved_out(v, forms.q3_coefficient, primes), v
+    if forms is DOCTORED:
+        # at d = 0, X = 0..5: Q1 = 7, 13, 19, 25, 31, 37 and
+        # Q2 = 5, 11, 17, 23, 29, 35; only 25 and 35 are sieved out
+        assert tables.window_marks(0, 0, 6) == b"\x00\x00\x00\x01\x00\x01"
+        # Q3(d) = 1 + 4d is the sieve prime 5, 13, 17, 29 at d = 1, 3, 4, 7
+        q3 = tables.q3_marks(0, 50)
+        for d in (1, 3, 4, 7):
+            assert not q3[d], forms.q3_at(d)
+
+
+def reference_search(forms, config):
+    """Plain search: the seeded d order, is_prime on Q3, then is_prime on
+    every X of the window in ascending order."""
+    d_lo = 0 if forms.q3_constant > 0 else 1
+    ds = list(range(d_lo, d_lo + config.d_range))
+    random.Random(config.seed).shuffle(ds)
+    for d in ds:
+        q3 = forms.q3_at(d)
+        if q3 <= 0:
+            continue
+        q3_evidence = is_prime(q3)
+        if not q3_evidence.is_prime_enough():
+            continue
+        x_start = max(0, d)
+        for x in range(x_start, x_start + config.x_window):
+            q1_evidence = is_prime(forms.q1_at(x))
+            if not q1_evidence.is_prime_enough():
+                continue
+            q2_evidence = is_prime(forms.q2_at(x - d))
+            if q2_evidence.is_prime_enough():
+                return x, x - d, (q1_evidence, q2_evidence, q3_evidence)
+    return None
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_search_finds_the_reference_hit(p):
+    target = build_targets(build_bundle(p))
+    forms = linear_forms(target)
+    for seed in range(1, 6):
+        expected = reference_search(forms, SearchConfig(seed=seed))
+        for bound in (30, 1000, None):
+            for workers in (1, 2):
+                config = SearchConfig(
+                    seed=seed, sieve_bound=bound, worker_count=workers
+                )
+                if expected is None:
+                    with pytest.raises(BudgetExhaustedError):
+                        search(forms, target, config)
+                else:
+                    assert search(forms, target, config) == expected, (seed, bound)
+
+
+def test_pool_examines_the_whole_d_range_like_one_worker(target5):
+    # no hit in this range, so every d, including the last block's, is
+    # examined and the counters must match the one-worker search
+    forms = linear_forms(target5)
+    stats = []
+    for workers in (1, 2, 3):
+        config = SearchConfig(
+            seed=1, d_range=64, x_window=16, sieve_bound=30, worker_count=workers
+        )
+        with pytest.raises(BudgetExhaustedError) as info:
+            search(forms, target5, config)
+        s = info.value.stats
+        stats.append((s.d_examined, s.q3_primes, s.survivors_tested, s.tests_used))
+    assert stats[0][0] == 64 and stats[0][1] > 0 and stats[0][2] > 0
+    assert stats[1] == stats[0] and stats[2] == stats[0]
+
+
+def test_default_sieve_bound_grows_with_bit_size(target5):
+    assert default_sieve_bound(linear_forms(target5)) == 30000
+    wide = LinearFormTriple(
+        p=5, q1_constant=1, q2_constant=1, q3_constant=1,
+        q12_coefficient=2**999, q3_coefficient=4,
+    )
+    assert default_sieve_bound(wide) == 1000 * 1000 // 4
 
 
 def test_search_reproducible_and_valid(target5):
