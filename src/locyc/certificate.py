@@ -38,7 +38,7 @@ from fractions import Fraction
 
 from . import curve_model, tate_series
 from .padic import from_rational, hensel_lift, int_valuation
-from .prime_search import PrimalityEvidence, _small_primes, is_prime
+from .prime_search import VERDICTS, PrimalityEvidence, _small_primes, is_prime
 from .target_builder import assemble_curve
 
 FORMAT_VERSION = 1
@@ -409,16 +409,19 @@ def parse(text: str) -> Certificate:
     primality = []
     for i, row in enumerate(doc.get("primality", [])):
         try:
-            primality.append(
-                PrimalityEvidence(
-                    n=int(row["n"], 10),
-                    verdict=row["verdict"],
-                    method=row["method"],
-                    witnesses=tuple(int(w, 10) for w in row["witnesses"]),
-                )
+            evidence = PrimalityEvidence(
+                n=int(row["n"], 10),
+                verdict=row["verdict"],
+                method=row["method"],
+                witnesses=tuple(int(w, 10) for w in row["witnesses"]),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise CertificateFormatError(f"primality[{i}] malformed: {exc}")
+        if evidence.verdict not in VERDICTS:
+            raise CertificateFormatError(
+                f"primality[{i}] has unknown verdict: {evidence.verdict!r}"
+            )
+        primality.append(evidence)
     checks = []
     for i, row in enumerate(doc.get("checks", [])):
         try:

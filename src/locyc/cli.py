@@ -144,6 +144,10 @@ def _cmd_construct(args) -> int:
     ):
         if value is not None and value < least:
             raise UsageError(f"{flag} must be at least {least}, got {value}")
+    cpus = os.cpu_count() or 1
+    if args.workers > cpus:
+        raise UsageError(f"--workers must be at most {cpus} (the CPU count), "
+                         f"got {args.workers}")
     config = SearchConfig(
         seed=args.seed,
         d_range=args.d_range,

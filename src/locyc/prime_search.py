@@ -29,6 +29,17 @@ Only where a hit can be does the search run Miller-Rabin:
   for the hit's Q1, Q2 and Q3; the certificate check C2 re-tests all
   three.
 
+With more than one worker:
+
+- Pool.  One process pool per search, started at the first d whose Q3
+  survived the sieve; its initializer hands every worker the tables.
+  From there on those d values are streamed to it one task each, with
+  no barrier between tasks, and the parent merges the results in
+  stream order, so the hit and the counters are those of one worker.
+  At the stop (hit, budget or end of the d range) the pool is
+  terminated: probes that ran ahead of the stop are killed, not waited
+  for.
+
 Budget accounting: every d examined costs one test, whether the sieve
 or ``is_prime`` rejected its Q3; a window survivor costs one test, plus
 one more when its Q1 passes the screen.  The default sieve bound grows with the bit size of the window
@@ -39,14 +50,14 @@ from __future__ import annotations
 
 import logging
 import math
+import multiprocessing
 import random
 import time
 from array import array
 from bisect import bisect_left
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass, replace
-from itertools import compress
+from itertools import compress, islice
 
 from .padic import int_valuation
 from .target_builder import CongruenceTarget, LinearFormTriple
@@ -78,10 +89,14 @@ def _small_primes(limit: int) -> list[int]:
 _TRIAL_PRIMES = _small_primes(_TRIAL_BOUND)
 
 
+# every verdict a PrimalityEvidence may carry
+VERDICTS = ("prime-deterministic", "probable-prime", "composite")
+
+
 @dataclass(frozen=True)
 class PrimalityEvidence:
     n: int
-    verdict: str  # prime-deterministic | probable-prime | composite
+    verdict: str  # one of VERDICTS
     method: str
     witnesses: tuple = ()
 
@@ -426,9 +441,11 @@ def _probe_in_worker(d: int):
 def _probe_stream(ds, sieved, d_lo, tables, config):
     """(d, probe result) for every d of ``ds``, in that order.
 
-    With several workers, blocks of up to ``worker_count`` d values
-    whose Q3 survived the sieve run in the pool, which holds the tables;
-    sieved-out d values never leave this process.
+    With several workers, the first d whose Q3 survived the sieve starts
+    one pool, which holds the tables; from there on every such d is
+    streamed to it and the results come back in stream order.
+    Sieved-out d values never leave this process.  Closing the stream
+    terminates the pool, so probes that ran ahead of the stop are killed.
     """
     if config.worker_count <= 1:
         for d in ds:
@@ -436,23 +453,22 @@ def _probe_stream(ds, sieved, d_lo, tables, config):
                 tables, config.x_window, d
             )
         return
-    with ProcessPoolExecutor(
-        max_workers=config.worker_count,
-        initializer=_init_worker,
-        initargs=(tables, config.x_window),
+    first = next((k for k, d in enumerate(ds) if not sieved[d - d_lo]), len(ds))
+    for d in islice(ds, first):
+        yield d, _Q3_NOT_PRIME
+    if first == len(ds):
+        return
+    # the default start method on Linux forks, which is safe here: the
+    # pool forks its workers before it starts its own threads.  A fresh
+    # interpreter per worker would re-import the package and copy the
+    # tables in every search.
+    with multiprocessing.Pool(
+        config.worker_count, _init_worker, (tables, config.x_window)
     ) as pool:
-        block, todo = [], []
-        for k, d in enumerate(ds):
-            block.append(d)
-            if not sieved[d - d_lo]:
-                todo.append(d)
-            if len(todo) < config.worker_count and k + 1 < len(ds):
-                continue
-            # results consumed in stream order, so scheduling is moot
-            results = pool.map(_probe_in_worker, todo)
-            for d in block:
-                yield d, _Q3_NOT_PRIME if sieved[d - d_lo] else next(results)
-            block, todo = [], []
+        todo = (d for d in islice(ds, first, None) if not sieved[d - d_lo])
+        results = pool.imap(_probe_in_worker, todo, chunksize=1)
+        for d in islice(ds, first, None):
+            yield d, _Q3_NOT_PRIME if sieved[d - d_lo] else next(results)
 
 
 def search(

@@ -242,7 +242,9 @@ def test_mutation_soundness(cert5):
 
 
 @criterion("determinism: byte-identical certificates across worker counts")
-def test_determinism(tmp_path):
+def test_determinism(tmp_path, monkeypatch):
+    # four workers even on a machine with fewer CPUs than that
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
     a = tmp_path / "w1.json"
     b = tmp_path / "w4.json"
     base = ["construct", "--prime", "5", "--seed", "1"]

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from locyc import cli
 from locyc.certificate import (
     CertificateFormatError,
     emit,
@@ -69,6 +70,18 @@ def test_parse_rejects_missing_field(cert5):
     del doc["b0"]
     with pytest.raises(CertificateFormatError, match="missing field: b0"):
         parse(json.dumps(doc))
+
+
+@pytest.mark.parametrize("verdict", ["proven", 7])
+def test_parse_rejects_unknown_primality_verdict(cert5, tmp_path, verdict):
+    doc = json.loads(emit(cert5))
+    doc["primality"][2]["verdict"] = verdict
+    text = json.dumps(doc)
+    with pytest.raises(CertificateFormatError, match="unknown verdict"):
+        parse(text)
+    path = tmp_path / "cert.json"
+    path.write_text(text)
+    assert cli.main(["verify", str(path)]) == cli.EX_DATAERR
 
 
 def test_parse_without_check_list(cert5):

@@ -1,10 +1,11 @@
 import hashlib
 import json
+import os
 from pathlib import Path
 
 import pytest
 
-from locyc import cli
+from locyc import cli, prime_search
 from locyc.certificate import emit, parse
 from dataclasses import replace
 
@@ -100,7 +101,9 @@ def test_usage_error_on_unknown_subcommand():
     assert run(["frobnicate"]) == 64
 
 
-def test_determinism_across_worker_counts(tmp_path):
+def test_determinism_across_worker_counts(tmp_path, monkeypatch):
+    # four workers even on a machine with fewer CPUs than that
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
     base = ["construct", "--prime", "5", "--seed", "1"]
@@ -143,6 +146,20 @@ def test_search_flags_below_their_least_value_are_usage_errors(
     assert code == 64
     err = capsys.readouterr().err
     assert "usage error" in err and flag in err
+    assert not out.exists()
+
+
+def test_workers_above_the_cpu_count_are_a_usage_error(tmp_path, capsys, monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started")
+
+    monkeypatch.setattr(prime_search.multiprocessing, "Pool", no_pool)
+    out = tmp_path / "never.json"
+    workers = str((os.cpu_count() or 1) + 1)
+    code = run(["construct", "--prime", "5", "--workers", workers, "--out", str(out)])
+    assert code == 64
+    err = capsys.readouterr().err
+    assert "usage error" in err and "--workers" in err and workers in err
     assert not out.exists()
 
 

@@ -1,10 +1,14 @@
+import multiprocessing
 import random
+from dataclasses import replace
 
 import pytest
 
+from locyc import prime_search
 from locyc.prime_search import (
     BudgetExhaustedError,
     SearchConfig,
+    SearchStats,
     SieveTables,
     _root_tables,
     _sieve_form,
@@ -179,8 +183,8 @@ def test_search_finds_the_reference_hit(p):
 
 
 def test_pool_examines_the_whole_d_range_like_one_worker(target5):
-    # no hit in this range, so every d, including the last block's, is
-    # examined and the counters must match the one-worker search
+    # no hit in this range, so every d is examined and the counters must
+    # match the one-worker search
     forms = linear_forms(target5)
     stats = []
     for workers in (1, 2, 3):
@@ -193,6 +197,56 @@ def test_pool_examines_the_whole_d_range_like_one_worker(target5):
         stats.append((s.d_examined, s.q3_primes, s.survivors_tested, s.tests_used))
     assert stats[0][0] == 64 and stats[0][1] > 0 and stats[0][2] > 0
     assert stats[1] == stats[0] and stats[2] == stats[0]
+
+
+@pytest.mark.parametrize(
+    "config, stop",
+    [
+        (SearchConfig(seed=1), None),
+        (SearchConfig(seed=1, budget=10, x_window=64, sieve_bound=30),
+         "budget exhausted"),
+        (SearchConfig(seed=1, d_range=64, x_window=16, sieve_bound=30),
+         "d range exhausted"),
+    ],
+    ids=["hit", "budget", "d-range-end"],
+)
+def test_no_pool_worker_outlives_the_search(target5, config, stop):
+    forms = linear_forms(target5)
+    config = replace(config, worker_count=2)
+    if stop is None:
+        search(forms, target5, config)
+    else:
+        with pytest.raises(BudgetExhaustedError, match=stop):
+            search(forms, target5, config)
+    assert multiprocessing.active_children() == []
+
+
+def test_no_pool_starts_when_no_d_is_dispatched(target5, monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started")
+
+    monkeypatch.setattr(prime_search.multiprocessing, "Pool", no_pool)
+    with pytest.raises(BudgetExhaustedError):
+        search(linear_forms(target5), target5, SearchConfig(budget=0, worker_count=2))
+
+
+def test_tiny_budgets_stop_alike_for_every_worker_count(target5):
+    # the hit costs 23 tests, so the sweep stops both before it, often
+    # while later d values are still being probed, and at it
+    forms = linear_forms(target5)
+    outcomes = set()
+    for budget in range(1, 41):
+        results = []
+        for workers in (1, 2, 3):
+            config = SearchConfig(seed=1, x_window=64, sieve_bound=30,
+                                  budget=budget, worker_count=workers)
+            try:
+                results.append(search(forms, target5, config))
+            except BudgetExhaustedError as exc:
+                results.append(replace(exc.stats, elapsed_s=0.0))
+        assert results[1] == results[0] and results[2] == results[0], budget
+        outcomes.add(type(results[0]))
+    assert outcomes == {tuple, SearchStats}
 
 
 def test_default_sieve_bound_grows_with_bit_size(target5):
