@@ -28,6 +28,17 @@ Only where a hit can be does the search run Miller-Rabin:
 - Evidence.  The search returns the ``is_prime`` evidence it computed
   for the hit's Q1, Q2 and Q3; the certificate check C2 re-tests all
   three.
+- Modular exponentiation.  Every strong-probable-prime test, in the
+  screen, in ``is_prime`` and in C2, exponentiates through
+  ``modexp.powmod``: OpenSSL's ``BN_mod_exp`` from ``libcrypto.so.3``
+  or ``libcrypto.so.1.1`` for moduli of at least
+  ``modexp.CROSSOVER_BITS`` bits (8x faster than builtin ``pow`` at
+  1243 bits), builtin ``pow`` below that and wherever the library does
+  not open.  Both give the same values, so verdicts, witnesses and
+  certificates do not depend on the platform.  The library is opened at
+  the first large call, not at import, so a small construct and
+  ``import locyc`` do not pay for it.  The strong Lucas test halves
+  mod n by a shift instead of multiplying by 1/2 mod n.
 
 With more than one worker:
 
@@ -38,7 +49,8 @@ With more than one worker:
   stream order, so the hit and the counters are those of one worker.
   At the stop (hit, budget or end of the d range) the pool is
   terminated: probes that ran ahead of the stop are killed, not waited
-  for.
+  for.  The pool forks where the platform can, whatever the default
+  start method, and the parent opens the modexp kernel before it forks.
 
 Budget accounting: every d examined costs one test, whether the sieve
 or ``is_prime`` rejected its Q3; a window survivor costs one test, plus
@@ -59,6 +71,7 @@ from contextlib import closing
 from dataclasses import dataclass, replace
 from itertools import compress, islice
 
+from . import modexp
 from .padic import int_valuation
 from .target_builder import CongruenceTarget, LinearFormTriple
 
@@ -107,7 +120,7 @@ class PrimalityEvidence:
 def _strong_probable_prime(n: int, base: int) -> bool:
     s = int_valuation(n - 1, 2)
     d = (n - 1) >> s
-    x = pow(base % n, d, n)
+    x = modexp.powmod(base % n, d, n)
     if x == 1 or x == n - 1:
         return True
     for _ in range(s - 1):
@@ -153,13 +166,20 @@ def _strong_lucas(n: int):
     Q = (1 - D) // 4
     s2 = int_valuation(n + 1, 2)
     d = (n + 1) >> s2
-    inv2 = (n + 1) // 2
     u, v, qk = 1, 1, Q % n
     for bit in bin(d)[3:]:
         u, v = u * v % n, (v * v - 2 * qk) % n
         qk = qk * qk % n
         if bit == "1":
-            u, v = (u + v) * inv2 % n, (D * u + v) * inv2 % n
+            # t / 2 mod n for 0 <= t < n with n odd: t >> 1 if t is even,
+            # else (t + n) >> 1, instead of a multiplication by 1/2 mod n
+            u, v = (u + v) % n, (D * u + v) % n
+            if u & 1:
+                u += n
+            if v & 1:
+                v += n
+            u >>= 1
+            v >>= 1
             qk = qk * Q % n
     if u == 0 or v == 0:
         return True, D
@@ -425,6 +445,14 @@ def _probe_d(tables: SieveTables, x_window: int, d: int):
     return True, None, tests, survivors
 
 
+# fork where the platform has it, whatever the process default: a
+# worker then inherits the package, the tables and the opened modexp
+# kernel, where a fresh interpreter per worker would import the package,
+# receive the tables by pickle and open the library in every search
+_POOL_CONTEXT = multiprocessing.get_context(
+    "fork" if "fork" in multiprocessing.get_all_start_methods() else None
+)
+
 # the pool workers' copy of the search's tables, set by _init_worker
 _worker_args = None
 
@@ -458,11 +486,11 @@ def _probe_stream(ds, sieved, d_lo, tables, config):
         yield d, _Q3_NOT_PRIME
     if first == len(ds):
         return
-    # the default start method on Linux forks, which is safe here: the
-    # pool forks its workers before it starts its own threads.  A fresh
-    # interpreter per worker would re-import the package and copy the
-    # tables in every search.
-    with multiprocessing.Pool(
+    # forking is safe here: the pool forks its workers before it starts
+    # its own threads.  The kernel is opened first so that every worker
+    # inherits it.
+    modexp.kernel()
+    with _POOL_CONTEXT.Pool(
         config.worker_count, _init_worker, (tables, config.x_window)
     ) as pool:
         todo = (d for d in islice(ds, first, None) if not sieved[d - d_lo])

@@ -1,11 +1,12 @@
 import hashlib
 import json
+import multiprocessing.pool
 import os
 from pathlib import Path
 
 import pytest
 
-from locyc import cli, prime_search
+from locyc import cli, modexp
 from locyc.certificate import emit, parse
 from dataclasses import replace
 
@@ -153,7 +154,7 @@ def test_workers_above_the_cpu_count_are_a_usage_error(tmp_path, capsys, monkeyp
     def no_pool(*args, **kwargs):
         raise AssertionError("a pool was started")
 
-    monkeypatch.setattr(prime_search.multiprocessing, "Pool", no_pool)
+    monkeypatch.setattr(multiprocessing.pool, "Pool", no_pool)
     out = tmp_path / "never.json"
     workers = str((os.cpu_count() or 1) + 1)
     code = run(["construct", "--prime", "5", "--workers", workers, "--out", str(out)])
@@ -170,16 +171,24 @@ LADDER_FLAGS = ["--seed", "1", "--d-range", "100000", "--x-window", "16384"]
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, native",
     [
-        ["construct", "--prime", "5", *LADDER_FLAGS],
-        ["construct", "--prime", "7", *LADDER_FLAGS],
-        ["construct", "--prime", "13", *LADDER_FLAGS],
-        ["construct", "--prime", "11", "--seed", "1"],
+        (["construct", "--prime", "5", *LADDER_FLAGS], True),
+        (["construct", "--prime", "7", *LADDER_FLAGS], True),
+        (["construct", "--prime", "13", *LADDER_FLAGS], True),
+        (["construct", "--prime", "11", "--seed", "1"], True),
+        (["construct", "--prime", "31", *LADDER_FLAGS], True),
+        # the same bytes where OpenSSL's modular exponentiation is absent
+        (["construct", "--prime", "13", *LADDER_FLAGS], False),
     ],
-    ids=["p5-ladder", "p7-ladder", "p13-ladder", "p11-default"],
+    ids=["p5-ladder", "p7-ladder", "p13-ladder", "p11-default", "p31-ladder",
+         "p13-ladder-builtin-pow"],
 )
-def test_certificate_bytes_match_the_stored_reference(tmp_path, argv):
+def test_certificate_bytes_match_the_stored_reference(
+    tmp_path, monkeypatch, argv, native
+):
+    if not native:
+        monkeypatch.setattr(modexp, "_kernel", None)
     reference = json.loads(REFERENCE_DIGESTS.read_text())["reference_sha256"]
     out = tmp_path / "cert.json"
     assert run([*argv, "--out", str(out)]) == 0

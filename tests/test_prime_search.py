@@ -1,10 +1,16 @@
+import ctypes
 import multiprocessing
+import multiprocessing.pool
+import os
 import random
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
-from locyc import prime_search
+from locyc import modexp, prime_search
 from locyc.prime_search import (
     BudgetExhaustedError,
     SearchConfig,
@@ -13,6 +19,7 @@ from locyc.prime_search import (
     _root_tables,
     _sieve_form,
     _small_primes,
+    _strong_probable_prime,
     default_sieve_bound,
     is_prime,
     search,
@@ -56,6 +63,142 @@ def test_is_prime_vs_sieve_sample():
             sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
     for n in range(limit + 1):
         assert (is_prime(n).verdict != "composite") == bool(sieve[n]), n
+
+
+@pytest.fixture(params=["native", "builtin"])
+def modexp_path(request, monkeypatch):
+    """Run a test once through OpenSSL's BN_mod_exp and once through
+    builtin pow."""
+    if request.param == "native":
+        if modexp.kernel() is None:
+            pytest.skip("libcrypto is not available here")
+    else:
+        monkeypatch.setattr(modexp, "_kernel", None)
+    return request.param
+
+
+@pytest.mark.parametrize(
+    "bits", [4, 8, 64, modexp.CROSSOVER_BITS - 1, modexp.CROSSOVER_BITS, 128,
+             300, 683, 1243, 2000]
+)
+def test_powmod_equals_pow(modexp_path, bits):
+    rng = random.Random(bits)
+    for n in (
+        rng.getrandbits(bits) | 1 << (bits - 1) | 1,  # odd
+        (rng.getrandbits(bits) | 1 << (bits - 1)) & ~1,  # even
+    ):
+        exponents = (0, 1, 2, n - 1, (n - 1) >> 1, rng.getrandbits(bits + 7))
+        for b in (0, 1, 2, 3, n - 1, rng.randrange(n)):
+            for e in exponents:
+                assert modexp.powmod(b, e, n) == pow(b, e, n), (b, e, n)
+                if modexp_path == "native":
+                    # the kernel itself, also below the crossover
+                    assert modexp.kernel()(b, e, n) == pow(b, e, n), (b, e, n)
+
+
+@pytest.mark.parametrize("exponent, lucas_d", [(523, 5), (1277, -7)])
+def test_mersenne_base_2_pseudoprimes_are_composite(modexp_path, exponent, lucas_d):
+    # 2^k - 1 with k prime passes the base-2 test whether or not it is
+    # prime; these two are composite, so the strong Lucas test rejects them
+    n = 2**exponent - 1
+    assert _strong_probable_prime(n, 2)
+    assert not _strong_probable_prime(n, 3)
+    evidence = is_prime(n)
+    assert evidence.verdict == "composite"
+    assert (evidence.method, evidence.witnesses) == ("strong-lucas", (lucas_d,))
+
+
+def test_kernel_is_unavailable_when_libcrypto_does_not_open(monkeypatch):
+    tried = []
+
+    def no_library(name):
+        tried.append(name)
+        raise OSError(f"{name}: cannot open shared object file")
+
+    monkeypatch.setattr(ctypes, "CDLL", no_library)
+    assert modexp.open_kernel() is None
+    # versioned sonames only: no search for an unversioned library
+    assert tried == ["libcrypto.so.3", "libcrypto.so.1.1"]
+
+
+def test_kernel_is_unavailable_when_a_symbol_is_missing(monkeypatch):
+    class NoModExp:
+        """A library that has every BN function but BN_mod_exp."""
+
+        def __getattr__(self, name):
+            if name == "BN_mod_exp":
+                raise AttributeError(name)
+            return ctypes.CFUNCTYPE(None)()
+
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: NoModExp())
+    assert modexp.open_kernel() is None
+
+
+class FakeLibcrypto:
+    """OpenSSL's BN functions on Python ints.  The one named ``failing``
+    fails, BN_bin2bn on its second call; ``live`` holds what is still
+    allocated."""
+
+    def __init__(self, failing=None):
+        live = self.live = {}
+        handles = iter(range(1, 100))
+
+        def alloc(value):
+            handle = next(handles)
+            live[handle] = value
+            return handle
+
+        def free(handle):
+            if handle:  # freeing NULL does nothing
+                del live[handle]
+
+        def bin2bn(data, size, ret):
+            if failing == "BN_bin2bn" and len(live) > 1:
+                return None
+            return alloc(int.from_bytes(data[:size], "big"))
+
+        def mod_exp(r, b, e, n, ctx):
+            if failing == "BN_mod_exp":
+                return 0
+            live[r] = pow(live[b], live[e], live[n])
+            return 1
+
+        def bn2bin(bn, out):
+            data = live[bn].to_bytes((live[bn].bit_length() + 7) // 8, "big")
+            ctypes.memmove(out, data, len(data))
+            return len(data)
+
+        self.BN_CTX_new = lambda: None if failing == "BN_CTX_new" else alloc("ctx")
+        self.BN_CTX_free = free
+        self.BN_new = lambda: alloc(0)
+        self.BN_bin2bn = bin2bn
+        self.BN_mod_exp = mod_exp
+        self.BN_num_bits = lambda bn: live[bn].bit_length()
+        self.BN_bn2bin = bn2bin
+        self.BN_free = free
+
+
+@pytest.mark.parametrize(
+    "failing, error",
+    [(None, None), ("BN_CTX_new", MemoryError), ("BN_bin2bn", MemoryError),
+     ("BN_mod_exp", ArithmeticError)],
+)
+def test_kernel_raises_on_a_failed_call_and_frees_everything(failing, error):
+    lib = FakeLibcrypto(failing)
+    native = modexp._BnModExp(lib)
+    if error is None:
+        assert native(3, 5, 7) == pow(3, 5, 7)
+    else:
+        with pytest.raises(error):
+            native(3, 5, 7)
+    assert lib.live == {}
+
+
+def test_importing_the_package_does_not_import_ctypes():
+    src = Path(prime_search.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = "import sys, locyc.cli; assert 'ctypes' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
 
 
 def test_small_primes():
@@ -225,9 +368,31 @@ def test_no_pool_starts_when_no_d_is_dispatched(target5, monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("a pool was started")
 
-    monkeypatch.setattr(prime_search.multiprocessing, "Pool", no_pool)
+    monkeypatch.setattr(multiprocessing.pool, "Pool", no_pool)
     with pytest.raises(BudgetExhaustedError):
         search(linear_forms(target5), target5, SearchConfig(budget=0, worker_count=2))
+
+
+def test_pool_forks_whatever_the_default_start_method(target5, monkeypatch):
+    contexts = []
+    pool_init = multiprocessing.pool.Pool.__init__
+
+    def recording_init(self, *args, context=None, **kwargs):
+        contexts.append(context.get_start_method())
+        pool_init(self, *args, context=context, **kwargs)
+
+    monkeypatch.setattr(multiprocessing.pool.Pool, "__init__", recording_init)
+    monkeypatch.setattr(modexp, "_kernel", modexp._UNOPENED)
+    default = multiprocessing.get_start_method(allow_none=True)
+    multiprocessing.set_start_method("spawn", force=True)
+    try:
+        search(linear_forms(target5), target5, SearchConfig(seed=1, worker_count=2))
+    finally:
+        multiprocessing.set_start_method(default, force=True)
+    has_fork = "fork" in multiprocessing.get_all_start_methods()
+    assert contexts == ["fork" if has_fork else "spawn"]
+    # the parent opened the kernel before it forked the workers
+    assert modexp._kernel is not modexp._UNOPENED
 
 
 def test_tiny_budgets_stop_alike_for_every_worker_count(target5):
