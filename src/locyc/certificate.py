@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
@@ -42,8 +43,6 @@ from .prime_search import VERDICTS, PrimalityEvidence, _small_primes, is_prime
 from .target_builder import assemble_curve
 
 FORMAT_VERSION = 1
-
-CHECK_IDS = [f"C{i}" for i in range(1, 13)]
 
 
 class CertificateFormatError(ValueError):
@@ -366,23 +365,30 @@ def emit(cert: Certificate) -> str:
     return json.dumps(to_document(cert), indent=2, sort_keys=True) + "\n"
 
 
-def _parse_int(doc: dict, name: str) -> int:
-    if name not in doc:
-        raise CertificateFormatError(f"missing field: {name}")
-    raw = doc[name]
-    if not isinstance(raw, str):
-        raise CertificateFormatError(
-            f"field {name} must be a decimal string, got {type(raw).__name__}"
-        )
+_DECIMAL = re.compile(r"-?[0-9]+")  # ASCII digits only, as emit writes them
+
+
+def _decimal(raw, where: str) -> int:
+    """The integer written as a decimal string at ``where``."""
     try:
-        return int(raw, 10)
-    except ValueError:
-        raise CertificateFormatError(f"field {name} is not a decimal integer: {raw!r}")
+        if isinstance(raw, str) and _DECIMAL.fullmatch(raw):
+            return int(raw)
+    except ValueError:  # more digits than int() converts
+        pass
+    raise CertificateFormatError(f"{where} must be a decimal string, got {raw!r}")
+
+
+def _rows(doc: dict, name: str) -> list:
+    rows = doc.get(name, [])
+    if not isinstance(rows, list):
+        raise CertificateFormatError(f"{name} must be a list")
+    return rows
 
 
 def parse(text: str) -> Certificate:
     """Inverse of emit.  The check list is optional: checks are derived
-    data and are recomputed on verification anyway."""
+    data and are recomputed on verification anyway.  Any other shape
+    raises CertificateFormatError."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -390,32 +396,32 @@ def parse(text: str) -> Certificate:
     if not isinstance(doc, dict):
         raise CertificateFormatError("top level must be an object")
     version = doc.get("format_version")
-    if version != FORMAT_VERSION:
+    if type(version) is not int or version != FORMAT_VERSION:
         raise CertificateFormatError(f"unknown format_version: {version!r}")
-    ints = {name: _parse_int(doc, name) for name in _INT_FIELDS}
-    digest_raw = doc.get("series_digest")
-    if not isinstance(digest_raw, list) or len(digest_raw) != 3:
+    ints = {}
+    for name in _INT_FIELDS:
+        if name not in doc:
+            raise CertificateFormatError(f"missing field: {name}")
+        ints[name] = _decimal(doc[name], f"field {name}")
+    # every certificate is built to precision p^(4p+1), and C1, C9 and
+    # C10 raise p to the power r before any check can fail
+    if ints["r"] != 4 * ints["p"] + 1:
+        raise CertificateFormatError(f"field r must be 4p + 1, got {ints['r']}")
+    digest = doc.get("series_digest")
+    if not isinstance(digest, list) or len(digest) != 3:
         raise CertificateFormatError("series_digest must be a list of 3 strings")
-    digest = []
-    for i, v in enumerate(digest_raw):
-        if not isinstance(v, str):
-            raise CertificateFormatError(f"series_digest[{i}] must be a string")
-        try:
-            digest.append(int(v, 10))
-        except ValueError:
-            raise CertificateFormatError(
-                f"series_digest[{i}] is not a decimal integer: {v!r}"
-            )
     primality = []
-    for i, row in enumerate(doc.get("primality", [])):
+    for i, row in enumerate(_rows(doc, "primality")):
         try:
             evidence = PrimalityEvidence(
-                n=int(row["n"], 10),
+                n=_decimal(row["n"], f"primality[{i}].n"),
                 verdict=row["verdict"],
                 method=row["method"],
-                witnesses=tuple(int(w, 10) for w in row["witnesses"]),
+                witnesses=tuple(
+                    _decimal(w, f"primality[{i}].witnesses") for w in row["witnesses"]
+                ),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError) as exc:
             raise CertificateFormatError(f"primality[{i}] malformed: {exc}")
         if evidence.verdict not in VERDICTS:
             raise CertificateFormatError(
@@ -423,7 +429,7 @@ def parse(text: str) -> Certificate:
             )
         primality.append(evidence)
     checks = []
-    for i, row in enumerate(doc.get("checks", [])):
+    for i, row in enumerate(_rows(doc, "checks")):
         try:
             checks.append(
                 CheckResult(
@@ -439,7 +445,9 @@ def parse(text: str) -> Certificate:
     if not isinstance(metadata, dict):
         raise CertificateFormatError("metadata must be an object")
     return Certificate(
-        series_digest=tuple(digest),
+        series_digest=tuple(
+            _decimal(v, f"series_digest[{i}]") for i, v in enumerate(digest)
+        ),
         primality=tuple(primality),
         checks=tuple(checks),
         metadata=metadata,

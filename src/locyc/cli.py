@@ -76,12 +76,6 @@ def build_parser() -> _Parser:
     c.add_argument("--workers", type=int, default=1)
     c.add_argument("--d-range", type=int, default=512)
     c.add_argument("--x-window", type=int, default=4096)
-    c.add_argument(
-        "--sieve-bound",
-        type=int,
-        default=None,
-        help="largest sieve prime (default: b^2/4 for b-bit forms, at least 30000)",
-    )
     c.add_argument("-v", "--verbose", action="store_true")
 
     v = sub.add_parser("verify", help="re-run every check of a certificate file")
@@ -140,9 +134,8 @@ def _cmd_construct(args) -> int:
         ("--d-range", args.d_range, 1),
         ("--x-window", args.x_window, 1),
         ("--workers", args.workers, 1),
-        ("--sieve-bound", args.sieve_bound, 2),
     ):
-        if value is not None and value < least:
+        if value < least:
             raise UsageError(f"{flag} must be at least {least}, got {value}")
     cpus = os.cpu_count() or 1
     if args.workers > cpus:
@@ -152,7 +145,6 @@ def _cmd_construct(args) -> int:
         seed=args.seed,
         d_range=args.d_range,
         x_window=args.x_window,
-        sieve_bound=args.sieve_bound,
         budget=args.budget,
         worker_count=args.workers,
     )

@@ -40,22 +40,27 @@ Only where a hit can be does the search run Miller-Rabin:
   ``import locyc`` do not pay for it.  The strong Lucas test halves
   mod n by a shift instead of multiplying by 1/2 mod n.
 
-With more than one worker:
+Probes and workers:
 
-- Pool.  One process pool per search, started at the first d whose Q3
-  survived the sieve; its initializer hands every worker the tables.
-  From there on those d values are streamed to it one task each, with
-  no barrier between tasks, and the parent merges the results in
-  stream order, so the hit and the counters are those of one worker.
-  At the stop (hit, budget or end of the d range) the pool is
+- One stream.  ``search`` holds the only loop over the d order, for
+  every worker count.  A d whose Q3 survived the sieve takes the next
+  result of one probe stream; for one worker that stream probes
+  in-process.
+- Pool.  With more workers the stream opens one process pool per
+  search at its first result; the initializer hands every worker the
+  tables.  The d values are streamed to it one task each, with no
+  barrier between tasks, and their results come back in stream order,
+  so the hit and the counters are those of one worker.  At the stop
+  (hit, budget or end of the d range) the stream is closed and the pool
   terminated: probes that ran ahead of the stop are killed, not waited
   for.  The pool forks where the platform can, whatever the default
   start method, and the parent opens the modexp kernel before it forks.
 
 Budget accounting: every d examined costs one test, whether the sieve
 or ``is_prime`` rejected its Q3; a window survivor costs one test, plus
-one more when its Q1 passes the screen.  The default sieve bound grows with the bit size of the window
-forms (``default_sieve_bound``).
+one more when its Q1 passes the screen.  No d is examined once the
+budget is spent.  The default sieve bound grows with the bit size of
+the window forms (``default_sieve_bound``).
 """
 
 from __future__ import annotations
@@ -69,7 +74,7 @@ from array import array
 from bisect import bisect_left
 from contextlib import closing
 from dataclasses import dataclass, replace
-from itertools import compress, islice
+from itertools import compress
 
 from . import modexp
 from .padic import int_valuation
@@ -466,25 +471,17 @@ def _probe_in_worker(d: int):
     return _probe_d(*_worker_args, d)
 
 
-def _probe_stream(ds, sieved, d_lo, tables, config):
-    """(d, probe result) for every d of ``ds``, in that order.
+def _probes(todo, tables: SieveTables, config: SearchConfig):
+    """Probe result of every d of ``todo``, in that order.
 
-    With several workers, the first d whose Q3 survived the sieve starts
-    one pool, which holds the tables; from there on every such d is
-    streamed to it and the results come back in stream order.
-    Sieved-out d values never leave this process.  Closing the stream
-    terminates the pool, so probes that ran ahead of the stop are killed.
+    One worker probes in this process.  Several share one pool, opened
+    at the first ``next`` and fed through ``imap`` one d per task, so
+    the results come back in stream order.  Closing the generator
+    terminates the pool: probes that ran ahead of the stop are killed.
     """
     if config.worker_count <= 1:
-        for d in ds:
-            yield d, _Q3_NOT_PRIME if sieved[d - d_lo] else _probe_d(
-                tables, config.x_window, d
-            )
-        return
-    first = next((k for k, d in enumerate(ds) if not sieved[d - d_lo]), len(ds))
-    for d in islice(ds, first):
-        yield d, _Q3_NOT_PRIME
-    if first == len(ds):
+        for d in todo:
+            yield _probe_d(tables, config.x_window, d)
         return
     # forking is safe here: the pool forks its workers before it starts
     # its own threads.  The kernel is opened first so that every worker
@@ -493,10 +490,7 @@ def _probe_stream(ds, sieved, d_lo, tables, config):
     with _POOL_CONTEXT.Pool(
         config.worker_count, _init_worker, (tables, config.x_window)
     ) as pool:
-        todo = (d for d in islice(ds, first, None) if not sieved[d - d_lo])
-        results = pool.imap(_probe_in_worker, todo, chunksize=1)
-        for d in islice(ds, first, None):
-            yield d, _Q3_NOT_PRIME if sieved[d - d_lo] else next(results)
+        yield from pool.imap(_probe_in_worker, todo, chunksize=1)
 
 
 def search(
@@ -523,10 +517,14 @@ def search(
 
     stats = SearchStats()
     hit = None
-    if config.budget <= 0:
-        ds = array("q")  # no test may run, so no d is examined
-    with closing(_probe_stream(ds, sieved, d_lo, tables, config)) as stream:
-        for d, (q3_prime, d_hit, tests, survivors) in stream:
+    todo = (d for d in ds if not sieved[d - d_lo])
+    with closing(_probes(todo, tables, config)) as probes:
+        for d in ds:
+            if stats.tests_used >= config.budget:
+                break
+            q3_prime, d_hit, tests, survivors = (
+                _Q3_NOT_PRIME if sieved[d - d_lo] else next(probes)
+            )
             stats.d_examined += 1
             stats.q3_primes += int(q3_prime)
             stats.windows_sieved += int(q3_prime)
@@ -535,8 +533,6 @@ def search(
             if d_hit is not None and stats.tests_used <= config.budget:
                 x0, evidence = d_hit
                 hit = (x0, x0 - d, evidence)
-                break
-            if stats.tests_used >= config.budget:
                 break
 
     stats.elapsed_s = time.monotonic() - t0

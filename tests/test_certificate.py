@@ -45,10 +45,23 @@ def test_metadata_never_affects_verdicts(cert5):
 
 
 def test_parse_rejects_bad_integer_field(cert5):
-    doc = json.loads(emit(cert5))
-    doc["q1"] = "abc"
-    with pytest.raises(CertificateFormatError, match="q1"):
-        parse(json.dumps(doc))
+    q = str(cert5.q1)
+    # int() takes all of these but the first two; a decimal string here
+    # is ASCII -?[0-9]+
+    bad = ["abc", "", q[:3] + "_" + q[3:], f" {q}", f"{q}\n", f"+{q}",
+           q.translate(str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")),
+           q.translate(str.maketrans("0123456789", "０１２３４５６７８９"))]
+    for value in bad:
+        for where in ("q1", "series_digest", "n", "witnesses"):
+            doc = json.loads(emit(cert5))
+            if where == "q1":
+                doc["q1"] = value
+            elif where == "series_digest":
+                doc["series_digest"][0] = value
+            else:
+                doc["primality"][0][where] = value if where == "n" else [value]
+            with pytest.raises(CertificateFormatError, match=where):
+                parse(json.dumps(doc))
 
 
 def test_parse_rejects_non_string_integer(cert5):
@@ -60,9 +73,10 @@ def test_parse_rejects_non_string_integer(cert5):
 
 def test_parse_rejects_unknown_version(cert5):
     doc = json.loads(emit(cert5))
-    doc["format_version"] = 99
-    with pytest.raises(CertificateFormatError, match="format_version"):
-        parse(json.dumps(doc))
+    for version in (99, True, 1.0, "1"):  # True == 1.0 == 1 in Python
+        doc["format_version"] = version
+        with pytest.raises(CertificateFormatError, match="format_version"):
+            parse(json.dumps(doc))
 
 
 def test_parse_rejects_missing_field(cert5):
@@ -78,6 +92,34 @@ def test_parse_rejects_unknown_primality_verdict(cert5, tmp_path, verdict):
     doc["primality"][2]["verdict"] = verdict
     text = json.dumps(doc)
     with pytest.raises(CertificateFormatError, match="unknown verdict"):
+        parse(text)
+    path = tmp_path / "cert.json"
+    path.write_text(text)
+    assert cli.main(["verify", str(path)]) == cli.EX_DATAERR
+
+
+@pytest.mark.parametrize("block", ["primality", "checks"])
+@pytest.mark.parametrize("value", [5, "C1", {}], ids=["int", "string", "object"])
+def test_verify_rejects_malformed_blocks(cert5, tmp_path, block, value):
+    doc = json.loads(emit(cert5))
+    doc[block] = value
+    text = json.dumps(doc)
+    with pytest.raises(CertificateFormatError, match=block):
+        parse(text)
+    path = tmp_path / "cert.json"
+    path.write_text(text)
+    assert cli.main(["verify", str(path)]) == cli.EX_DATAERR
+
+
+@pytest.mark.parametrize("r", ["100000", "20", "22", "0"])
+def test_parse_rejects_r_other_than_4p_plus_1(cert5, tmp_path, r):
+    # C1, C9 and C10 raise p to the power r before any check can fail,
+    # so a large r would keep verify busy instead of failing it
+    doc = json.loads(emit(cert5))
+    assert doc["r"] == "21"
+    doc["r"] = r
+    text = json.dumps(doc)
+    with pytest.raises(CertificateFormatError, match="field r"):
         parse(text)
     path = tmp_path / "cert.json"
     path.write_text(text)

@@ -135,8 +135,8 @@ def test_certificate_file_is_versioned_json(tmp_path):
         ("--x-window", "0"),
         ("--d-range", "-5"),
         ("--workers", "-3"),
-        ("--sieve-bound", "-4"),
-        ("--sieve-bound", "1"),
+        # no longer a flag: the bound is always default_sieve_bound(forms)
+        ("--sieve-bound", "30000"),
     ],
 )
 def test_search_flags_below_their_least_value_are_usage_errors(
