@@ -378,11 +378,22 @@ def _decimal(raw, where: str) -> int:
     raise CertificateFormatError(f"{where} must be a decimal string, got {raw!r}")
 
 
-def _rows(doc: dict, name: str) -> list:
+def _rows(doc: dict, name: str, fields: dict):
+    """(where, row) for each row of the list ``name``: an object whose
+    value at each key of ``fields`` has exactly the type given there."""
     rows = doc.get(name, [])
     if not isinstance(rows, list):
         raise CertificateFormatError(f"{name} must be a list")
-    return rows
+    for i, row in enumerate(rows):
+        where = f"{name}[{i}]"
+        if not isinstance(row, dict):
+            raise CertificateFormatError(f"{where} must be an object")
+        for key, kind in fields.items():
+            if type(row.get(key)) is not kind:
+                raise CertificateFormatError(
+                    f"{where}.{key} must be a {kind.__name__}, got {row.get(key)!r}"
+                )
+        yield where, row
 
 
 def parse(text: str) -> Certificate:
@@ -411,36 +422,27 @@ def parse(text: str) -> Certificate:
     if not isinstance(digest, list) or len(digest) != 3:
         raise CertificateFormatError("series_digest must be a list of 3 strings")
     primality = []
-    for i, row in enumerate(_rows(doc, "primality")):
-        try:
-            evidence = PrimalityEvidence(
-                n=_decimal(row["n"], f"primality[{i}].n"),
+    for where, row in _rows(doc, "primality", {"method": str, "witnesses": list}):
+        if row.get("verdict") not in VERDICTS:
+            raise CertificateFormatError(
+                f"{where} has unknown verdict: {row.get('verdict')!r}"
+            )
+        primality.append(
+            PrimalityEvidence(
+                n=_decimal(row.get("n"), f"{where}.n"),
                 verdict=row["verdict"],
                 method=row["method"],
                 witnesses=tuple(
-                    _decimal(w, f"primality[{i}].witnesses") for w in row["witnesses"]
+                    _decimal(w, f"{where}.witnesses") for w in row["witnesses"]
                 ),
             )
-        except (KeyError, TypeError) as exc:
-            raise CertificateFormatError(f"primality[{i}] malformed: {exc}")
-        if evidence.verdict not in VERDICTS:
-            raise CertificateFormatError(
-                f"primality[{i}] has unknown verdict: {evidence.verdict!r}"
-            )
-        primality.append(evidence)
-    checks = []
-    for i, row in enumerate(_rows(doc, "checks")):
-        try:
-            checks.append(
-                CheckResult(
-                    check_id=row["id"],
-                    name=row["name"],
-                    passed=bool(row["passed"]),
-                    details=row["details"],
-                )
-            )
-        except (KeyError, TypeError) as exc:
-            raise CertificateFormatError(f"checks[{i}] malformed: {exc}")
+        )
+    checks = [
+        CheckResult(row["id"], row["name"], row["passed"], row["details"])
+        for _, row in _rows(
+            doc, "checks", {"id": str, "name": str, "passed": bool, "details": str}
+        )
+    ]
     metadata = doc.get("metadata", {})
     if not isinstance(metadata, dict):
         raise CertificateFormatError("metadata must be an object")

@@ -235,10 +235,9 @@ def sqrt(a: PadicInt, seed_mod_p: int) -> PadicInt:
 
 
 def _poly_eval_mod(coeffs: Sequence[int], x: int, m: int) -> int:
-    acc = 0
-    for c in reversed(coeffs):
-        acc = (acc * x + c) % m
-    return acc
+    # term by term: a sparse f such as x^(2p) - q0 costs a few powers
+    # mod m, where Horner would multiply through every zero coefficient
+    return sum(c * pow(x, i, m) for i, c in enumerate(coeffs) if c) % m
 
 
 def _poly_deriv(coeffs: Sequence[int]) -> list[int]:
@@ -264,8 +263,8 @@ def hensel_lift(
     """
     deriv = _poly_deriv(coeffs)
     # exact evaluations: alpha and the coefficients are plain integers
-    fa = sum(c * alpha**i for i, c in enumerate(coeffs))
-    fpa = sum(c * alpha**i for i, c in enumerate(deriv))
+    fa = sum(c * alpha**i for i, c in enumerate(coeffs) if c)
+    fpa = sum(c * alpha**i for i, c in enumerate(deriv) if c)
     v_fa = int_valuation(fa, p)
     v_fpa = int_valuation(fpa, p)
     if v_fa < j:
@@ -286,18 +285,16 @@ def hensel_lift(
     # enough certified digits.
     work = target + tau + 2
     big = p**work
-    cs = [c % big for c in coeffs]
-    ds = [c % big for c in _poly_deriv(coeffs)]
     x = alpha % big
     known = j  # certified: v_p(f(x)) >= known
     for _ in range(64):
         if known - tau >= target:
             break
-        fx = _poly_eval_mod(cs, x, big)
+        fx = _poly_eval_mod(coeffs, x, big)
         if fx == 0:
             known = work
             break
-        dx = _poly_eval_mod(ds, x, big)
+        dx = _poly_eval_mod(deriv, x, big)
         v_dx = int_valuation(dx, p)
         if v_dx != tau:
             raise ArithmeticError(

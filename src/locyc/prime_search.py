@@ -13,10 +13,11 @@ result independent of how many workers ran the probes.
 Only where a hit can be does the search run Miller-Rabin:
 
 - Sieve tables.  Each search computes, once, the root of every form
-  modulo every sieve prime ell: ell | Q(t) exactly when t is congruent
-  to the root.  A window is then marked with slice assignments alone;
-  Q2(X - d) is Q2 sieved over Y = X - d.  A form value that equals a
-  sieve prime is never sieved out.
+  modulo every sieve prime ell, so a form is sieved with slice
+  assignments alone.  The window of d is X in [d, d + x_window): Y =
+  X - d runs over [0, x_window) for every d, so Q2 is sieved once per
+  search and a window copies its marks and sieves Q1 on top.  A form
+  value that equals a sieve prime is never sieved out.
 - Q3 sieve.  Before any test, the Q3 values of the whole d range are
   sieved with the same primes.  A marked d is examined without a
   primality test.
@@ -48,13 +49,14 @@ Probes and workers:
   in-process.
 - Pool.  With more workers the stream opens one process pool per
   search at its first result; the initializer hands every worker the
-  tables.  The d values are streamed to it one task each, with no
-  barrier between tasks, and their results come back in stream order,
-  so the hit and the counters are those of one worker.  At the stop
-  (hit, budget or end of the d range) the stream is closed and the pool
-  terminated: probes that ran ahead of the stop are killed, not waited
-  for.  The pool forks where the platform can, whatever the default
-  start method, and the parent opens the modexp kernel before it forks.
+  tables, Q2's marks included, so a task is its d alone.  The d values
+  are streamed one task each, with no barrier between tasks, and their
+  results come back in stream order, so the hit and the counters are
+  those of one worker.  At the stop (hit, budget or end of the d range)
+  the stream is closed and the pool terminated: probes that ran ahead
+  of the stop are killed, not waited for.  The pool forks where the
+  platform can, whatever the default start method, and the parent opens
+  the modexp kernel before it forks.
 
 Budget accounting: every d examined costs one test, whether the sieve
 or ``is_prime`` rejected its Q3; a window survivor costs one test, plus
@@ -253,7 +255,6 @@ class SearchConfig:
 class SearchStats:
     d_examined: int = 0
     q3_primes: int = 0
-    windows_sieved: int = 0
     survivors_tested: int = 0
     tests_used: int = 0
     elapsed_s: float = 0.0
@@ -357,34 +358,36 @@ def _sieve_form(
 
 
 class SieveTables:
-    """The forms' roots modulo every sieve prime up to ``bound``, built
-    once per search.
+    """One search's sieve data, built once: all a probe needs but d.
 
-    ell | Q1(X) iff X = q1_roots[k] mod ell, and ell | Q2(Y) iff
-    Y = q2_roots[k] mod ell, for ell = window_primes[k]; likewise
-    ell | Q3(d) iff d = q3_roots[k] mod ell for ell = q3_primes[k].
-    Primes dividing a form's coefficient are left out of its table.
+    ell | Q1(X) iff X = q1_roots[k] mod ell for ell = window_primes[k],
+    and ell | Q3(d) iff d = q3_roots[k] mod ell for ell = q3_primes[k];
+    primes dividing a form's coefficient are left out of its table.
+    The window of d is X in [d, d + x_window), so Y = X - d runs over
+    [0, x_window) for every d: q2_marks holds Q2 sieved there once.
     """
 
-    def __init__(self, forms: LinearFormTriple, bound: int):
+    def __init__(self, forms: LinearFormTriple, bound: int, x_window: int):
         primes = array("I", compress(range(bound + 1), _prime_flags(bound)))
         self.forms = forms
-        self.window_primes, self.q1_roots, self.q2_roots = _root_tables(
+        self.window_primes, self.q1_roots, q2_roots = _root_tables(
             forms.q12_coefficient, (forms.q1_constant, forms.q2_constant), primes
         )
+        self.q2_marks = bytearray(x_window)
+        _sieve_form(self.q2_marks, 0, forms.q2_constant, forms.q12_coefficient,
+                    self.window_primes, q2_roots)
         self.q3_primes, self.q3_roots = _root_tables(
             forms.q3_coefficient, (forms.q3_constant,), primes
         )
 
-    def window_marks(self, d: int, x_start: int, length: int) -> bytearray:
-        """Marks of X in [x_start, x_start + length): set where a sieve
-        prime divides Q1(X) or Q2(X - d) without being equal to it."""
+    def window_marks(self, d: int) -> bytearray:
+        """Marks of X in [d, d + x_window): set where a sieve prime
+        divides Q1(X) or Q2(X - d) without being equal to it.  Each form
+        marks on its own, so Q1 is sieved on a copy of q2_marks."""
         f = self.forms
-        marks = bytearray(length)
-        _sieve_form(marks, x_start, f.q1_constant, f.q12_coefficient,
+        marks = self.q2_marks[:]
+        _sieve_form(marks, d, f.q1_constant, f.q12_coefficient,
                     self.window_primes, self.q1_roots)
-        _sieve_form(marks, x_start - d, f.q2_constant, f.q12_coefficient,
-                    self.window_primes, self.q2_roots)
         return marks
 
     def q3_marks(self, d_lo: int, length: int) -> bytearray:
@@ -407,7 +410,7 @@ def _passes_screen(n: int) -> bool:
 _Q3_NOT_PRIME = (False, None, 1, 0)
 
 
-def _probe_d(tables: SieveTables, x_window: int, d: int):
+def _probe_d(tables: SieveTables, d: int):
     """Examine one d that survived the Q3 sieve: test Q3, then sieve
     and screen one X window.
 
@@ -422,13 +425,12 @@ def _probe_d(tables: SieveTables, x_window: int, d: int):
     q3_evidence = is_prime(q3)
     if not q3_evidence.is_prime_enough():
         return _Q3_NOT_PRIME
-    x_start = max(0, d)
-    marks = tables.window_marks(d, x_start, x_window)
+    marks = tables.window_marks(d)
     tests = 1
     survivors = 0
     i = marks.find(0)
     while i >= 0:
-        x = x_start + i
+        x = d + i
         i = marks.find(0, i + 1)
         survivors += 1
         tests += 1
@@ -459,16 +461,16 @@ _POOL_CONTEXT = multiprocessing.get_context(
 )
 
 # the pool workers' copy of the search's tables, set by _init_worker
-_worker_args = None
+_worker_tables = None
 
 
-def _init_worker(tables: SieveTables, x_window: int) -> None:
-    global _worker_args
-    _worker_args = (tables, x_window)
+def _init_worker(tables: SieveTables) -> None:
+    global _worker_tables
+    _worker_tables = tables
 
 
 def _probe_in_worker(d: int):
-    return _probe_d(*_worker_args, d)
+    return _probe_d(_worker_tables, d)
 
 
 def _probes(todo, tables: SieveTables, config: SearchConfig):
@@ -481,15 +483,13 @@ def _probes(todo, tables: SieveTables, config: SearchConfig):
     """
     if config.worker_count <= 1:
         for d in todo:
-            yield _probe_d(tables, config.x_window, d)
+            yield _probe_d(tables, d)
         return
     # forking is safe here: the pool forks its workers before it starts
     # its own threads.  The kernel is opened first so that every worker
     # inherits it.
     modexp.kernel()
-    with _POOL_CONTEXT.Pool(
-        config.worker_count, _init_worker, (tables, config.x_window)
-    ) as pool:
+    with _POOL_CONTEXT.Pool(config.worker_count, _init_worker, (tables,)) as pool:
         yield from pool.imap(_probe_in_worker, todo, chunksize=1)
 
 
@@ -507,7 +507,7 @@ def search(
     """
     t0 = time.monotonic()
     config = with_sieve_bound(config, forms)
-    tables = SieveTables(forms, config.sieve_bound)
+    tables = SieveTables(forms, config.sieve_bound, config.x_window)
     d_lo = 0 if forms.q3_constant > 0 else 1
     # an array holds the d order in a quarter of a list's memory, and
     # shuffle permutes both alike
@@ -527,7 +527,6 @@ def search(
             )
             stats.d_examined += 1
             stats.q3_primes += int(q3_prime)
-            stats.windows_sieved += int(q3_prime)
             stats.survivors_tested += survivors
             stats.tests_used += tests
             if d_hit is not None and stats.tests_used <= config.budget:
@@ -541,7 +540,7 @@ def search(
         "survivors=%d tests=%d elapsed=%.2fs",
         stats.d_examined,
         stats.q3_primes,
-        stats.windows_sieved,
+        stats.q3_primes,  # windows: a prime Q3 sieves exactly one window
         stats.survivors_tested,
         stats.tests_used,
         stats.elapsed_s,

@@ -1,4 +1,5 @@
 import json
+import time
 from dataclasses import replace
 
 import pytest
@@ -14,6 +15,7 @@ from locyc.certificate import (
     with_report,
 )
 from locyc.curve_model import split_delta_and_reduced_c4
+from locyc.prime_search import SearchConfig
 
 MUTATION_DELTAS = (1, -1, 2, -2, 16, -16, 64, -64, 5)
 MUTATED_FIELDS = ("a0", "b0", "c0", "q1", "q2", "q3")
@@ -124,6 +126,52 @@ def test_parse_rejects_r_other_than_4p_plus_1(cert5, tmp_path, r):
     path = tmp_path / "cert.json"
     path.write_text(text)
     assert cli.main(["verify", str(path)]) == cli.EX_DATAERR
+
+
+@pytest.mark.parametrize(
+    "block, key, value",
+    [
+        ("primality", None, 5),
+        ("primality", "witnesses", "12"),
+        ("primality", "witnesses", {"3": "x"}),
+        ("primality", "witnesses", [3]),
+        ("primality", "method", 5),
+        ("primality", "n", None),
+        ("checks", None, "C1"),
+        ("checks", "passed", "false"),
+        ("checks", "passed", 1),
+        ("checks", "details", [1]),
+        ("checks", "id", None),
+        ("checks", "name", 12),
+    ],
+)
+def test_verify_rejects_mistyped_rows(cert5, tmp_path, block, key, value):
+    doc = json.loads(emit(cert5))
+    if key is None:
+        doc[block][0] = value
+    elif value is None:
+        del doc[block][0][key]
+    else:
+        doc[block][0][key] = value
+    text = json.dumps(doc)
+    with pytest.raises(CertificateFormatError, match=rf"{block}\[0\]"):
+        parse(text)
+    path = tmp_path / "cert.json"
+    path.write_text(text)
+    assert cli.main(["verify", str(path)]) == cli.EX_DATAERR
+
+
+def test_verify_fails_fast_on_a_certificate_edited_to_a_large_p():
+    # C1, C9 and C10 work mod p^r and C10 Hensel-lifts x^(2p) - q0, so
+    # the cost of a forged p must stay in seconds, not minutes
+    cert, _ = cli.construct(13, SearchConfig(seed=1))
+    doc = json.loads(emit(cert))
+    doc["p"], doc["r"] = "1009", "4037"
+    forged = parse(json.dumps(doc))
+    t0 = time.monotonic()
+    report = verify_certificate(forged)
+    assert time.monotonic() - t0 < 10
+    assert "C1" in report.failing()
 
 
 def test_parse_without_check_list(cert5):

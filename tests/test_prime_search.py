@@ -257,17 +257,17 @@ def test_sieve_tables_mark_exactly_the_divisible_values(forms_of, target5):
     forms = DOCTORED if forms_of == "doctored" else linear_forms(target5)
     bound = 200
     primes = _small_primes(bound)
-    tables = SieveTables(forms, bound)
+    tables = SieveTables(forms, bound, 300)
     coeff = forms.q12_coefficient
-    for d in (0, 1, 7, 40, 333):
-        for start in (0, 3, d, d + 190):
-            marks = tables.window_marks(d, start, 300)
-            for i, mark in enumerate(marks):
-                x = start + i
-                expected = sieved_out(forms.q1_at(x), coeff, primes) or sieved_out(
-                    forms.q2_at(x - d), coeff, primes
-                )
-                assert bool(mark) == expected, (d, x)
+    for d in (0, 1, 3, 7, 40, 190, 333):
+        marks = tables.window_marks(d)
+        assert len(marks) == 300
+        for i, mark in enumerate(marks):
+            x = d + i
+            expected = sieved_out(forms.q1_at(x), coeff, primes) or sieved_out(
+                forms.q2_at(x - d), coeff, primes
+            )
+            assert bool(mark) == expected, (d, x)
     for d_lo in (0, 1, 150):
         marks = tables.q3_marks(d_lo, 400)
         for i, mark in enumerate(marks):
@@ -276,11 +276,33 @@ def test_sieve_tables_mark_exactly_the_divisible_values(forms_of, target5):
     if forms is DOCTORED:
         # at d = 0, X = 0..5: Q1 = 7, 13, 19, 25, 31, 37 and
         # Q2 = 5, 11, 17, 23, 29, 35; only 25 and 35 are sieved out
-        assert tables.window_marks(0, 0, 6) == b"\x00\x00\x00\x01\x00\x01"
+        assert tables.window_marks(0)[:6] == b"\x00\x00\x00\x01\x00\x01"
         # Q3(d) = 1 + 4d is the sieve prime 5, 13, 17, 29 at d = 1, 3, 4, 7
         q3 = tables.q3_marks(0, 50)
         for d in (1, 3, 4, 7):
             assert not q3[d], forms.q3_at(d)
+
+
+def test_q2_is_sieved_once_per_search(target5, monkeypatch):
+    calls = []
+    sieve_form = prime_search._sieve_form
+
+    def counting(marks, lo, constant, *rest):
+        calls.append(constant)
+        sieve_form(marks, lo, constant, *rest)
+
+    monkeypatch.setattr(prime_search, "_sieve_form", counting)
+    forms = linear_forms(target5)
+    with pytest.raises(BudgetExhaustedError) as info:
+        search(forms, target5, SearchConfig(seed=1, d_range=64, x_window=16,
+                                            sieve_bound=30))
+    windows = info.value.stats.q3_primes
+    assert windows > 1
+    # Q2 once, Q3 once, and Q1 once per window
+    assert len(calls) == windows + 2
+    assert calls.count(forms.q2_constant) == 1
+    assert calls.count(forms.q3_constant) == 1
+    assert calls.count(forms.q1_constant) == windows
 
 
 def reference_search(forms, config):
