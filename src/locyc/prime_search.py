@@ -12,9 +12,10 @@ result independent of how many workers ran the probes.
 
 Only where a hit can be does the search run Miller-Rabin:
 
-- Sieve tables.  Each search computes, once, the root of every form
-  modulo every sieve prime ell, so a form is sieved with slice
-  assignments alone.  The window of d is X in [d, d + x_window): Y =
+- Sieve tables.  Each search computes, once, one table of sieve
+  primes ell and the root of every form mod each ell, so a form is
+  sieved with slice assignments alone; Q3's root is Q1's minus Q2's, as
+  Q1 - Q2 = 16 p^p Q3.  The window of d is X in [d, d + x_window): Y =
   X - d runs over [0, x_window) for every d, so Q2 is sieved once per
   search and a window copies its marks and sieves Q1 on top.  A form
   value that equals a sieve prime is never sieved out.
@@ -73,7 +74,6 @@ import multiprocessing
 import random
 import time
 from array import array
-from bisect import bisect_left
 from contextlib import closing
 from dataclasses import dataclass, replace
 from itertools import compress
@@ -307,22 +307,29 @@ def with_sieve_bound(config: SearchConfig, forms: LinearFormTriple) -> SearchCon
     return replace(config, sieve_bound=default_sieve_bound(forms))
 
 
-def _root_tables(
-    coefficient: int, constants: tuple[int, ...], primes: array
-) -> tuple[array, ...]:
-    """(ells, roots of each constant): the primes not dividing the
-    coefficient, and for each constant k the t mod ell with
-    ell | k + coefficient * t."""
-    ells = array("I")
-    roots = tuple(array("I") for _ in constants)
-    for ell in primes:
+def _root_tables(forms: LinearFormTriple, bound: int) -> tuple[array, ...]:
+    """(ells, q1_roots, q2_roots, q3_roots): the primes ell <= bound
+    not dividing 64 p^r, and each form's root mod each ell.
+
+    Q3's root is r1 - r2 for Q1's root r1 and Q2's root r2, because
+    Q1(X) - Q2(X - d) = k Q3(d) and ell divides neither k nor Q3's
+    coefficient (k times it is 64 p^r).  Precondition: Q1 - Q2 = k Q3,
+    and every prime factor of k divides Q3's coefficient, so that Q3
+    loses no sieve prime; ``linear_forms`` has k = 16 p^p, 4 p^(r-p).
+    """
+    ells, q1_roots, q2_roots, q3_roots = (array("I") for _ in range(4))
+    coefficient = forms.q12_coefficient
+    for ell in compress(range(bound + 1), _prime_flags(bound)):
         c = coefficient % ell
-        if c:  # otherwise the form is never 0 mod ell (constants are coprime)
+        if c:  # otherwise no form is ever 0 mod ell (constants are coprime)
             minus_inverse = ell - pow(c, -1, ell)
+            r1 = forms.q1_constant % ell * minus_inverse % ell
+            r2 = forms.q2_constant % ell * minus_inverse % ell
             ells.append(ell)
-            for table, k in zip(roots, constants):
-                table.append(k % ell * minus_inverse % ell)
-    return (ells, *roots)
+            q1_roots.append(r1)
+            q2_roots.append(r2)
+            q3_roots.append((r1 - r2) % ell)
+    return ells, q1_roots, q2_roots, q3_roots
 
 
 def _sieve_form(
@@ -336,49 +343,38 @@ def _sieve_form(
     """Set marks[i] where a prime of ``ells`` divides the form value
     constant + coefficient * (lo + i) and is not equal to it.
 
-    Marks already set stay set.  The coefficient is positive.
+    Marks already set stay set.  The coefficient and every form value
+    are positive, so a value equal to ell is ell's first multiple, which
+    ell skips.
     """
     n = len(marks)
-    # values that are themselves sieve primes: only they divide them,
-    # so whatever marked them before this form keeps its say
-    keep = []
-    if ells:
-        for i in range(min(n, (ells[-1] - constant) // coefficient - lo + 1)):
-            v = constant + coefficient * (lo + i)
-            j = bisect_left(ells, v)
-            if j < len(ells) and ells[j] == v:
-                keep.append((i, marks[i]))
     ones = memoryview(b"\x01" * n)
+    # no value beyond this index is as small as the largest sieve prime
+    last = (ells[-1] - constant) // coefficient - lo if ells else -1
     for ell, root in zip(ells, roots):
         first = (root - lo) % ell
+        if first <= last and constant + coefficient * (lo + first) == ell:
+            first += ell
         if first < n:
             marks[first::ell] = ones[: (n - 1 - first) // ell + 1]
-    for i, mark in keep:
-        marks[i] = mark
 
 
 class SieveTables:
     """One search's sieve data, built once: all a probe needs but d.
 
-    ell | Q1(X) iff X = q1_roots[k] mod ell for ell = window_primes[k],
-    and ell | Q3(d) iff d = q3_roots[k] mod ell for ell = q3_primes[k];
-    primes dividing a form's coefficient are left out of its table.
+    ``ells`` holds the sieve primes, and ell = ells[k] divides Q1(X) iff
+    X = q1_roots[k] and Q3(d) iff d = q3_roots[k] mod ell (see
+    ``_root_tables``); primes dividing the coefficients are left out.
     The window of d is X in [d, d + x_window), so Y = X - d runs over
     [0, x_window) for every d: q2_marks holds Q2 sieved there once.
     """
 
     def __init__(self, forms: LinearFormTriple, bound: int, x_window: int):
-        primes = array("I", compress(range(bound + 1), _prime_flags(bound)))
         self.forms = forms
-        self.window_primes, self.q1_roots, q2_roots = _root_tables(
-            forms.q12_coefficient, (forms.q1_constant, forms.q2_constant), primes
-        )
+        self.ells, self.q1_roots, q2_roots, self.q3_roots = _root_tables(forms, bound)
         self.q2_marks = bytearray(x_window)
         _sieve_form(self.q2_marks, 0, forms.q2_constant, forms.q12_coefficient,
-                    self.window_primes, q2_roots)
-        self.q3_primes, self.q3_roots = _root_tables(
-            forms.q3_coefficient, (forms.q3_constant,), primes
-        )
+                    self.ells, q2_roots)
 
     def window_marks(self, d: int) -> bytearray:
         """Marks of X in [d, d + x_window): set where a sieve prime
@@ -387,7 +383,7 @@ class SieveTables:
         f = self.forms
         marks = self.q2_marks[:]
         _sieve_form(marks, d, f.q1_constant, f.q12_coefficient,
-                    self.window_primes, self.q1_roots)
+                    self.ells, self.q1_roots)
         return marks
 
     def q3_marks(self, d_lo: int, length: int) -> bytearray:
@@ -396,7 +392,7 @@ class SieveTables:
         f = self.forms
         marks = bytearray(length)
         _sieve_form(marks, d_lo, f.q3_constant, f.q3_coefficient,
-                    self.q3_primes, self.q3_roots)
+                    self.ells, self.q3_roots)
         return marks
 
 
@@ -419,10 +415,9 @@ def _probe_d(tables: SieveTables, d: int):
     arguments.
     """
     forms = tables.forms
-    q3 = forms.q3_at(d)
-    if q3 <= 0:
-        return _Q3_NOT_PRIME
-    q3_evidence = is_prime(q3)
+    # Q3(d) > 0: |q3_constant| < q3_coefficient, since s1 and s2 are
+    # least residues mod 64 p^r, and d >= 1 unless q3_constant > 0
+    q3_evidence = is_prime(forms.q3_at(d))
     if not q3_evidence.is_prime_enough():
         return _Q3_NOT_PRIME
     marks = tables.window_marks(d)

@@ -104,8 +104,6 @@ class TateBundle:
     """Series data for one prime, everything at one working precision."""
 
     prime: int
-    q_exponent: int       # q = p^q_exponent
-    sqrt_q_exponent: int  # q^(1/2) = p^sqrt_q_exponent, exact
     precision: int
     a4: PadicInt
     a6: PadicInt
@@ -146,8 +144,6 @@ def build_bundle(p: int, precision: int | None = None) -> TateBundle:
     gamma = (xpp2 - xpp3).shift_down(p) * inv16
     return TateBundle(
         prime=p,
-        q_exponent=2 * p,
-        sqrt_q_exponent=p,
         precision=r,
         a4=a4,
         a6=a6,

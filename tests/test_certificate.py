@@ -1,6 +1,10 @@
 import json
+import os
+import subprocess
+import sys
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -128,6 +132,24 @@ def test_parse_rejects_r_other_than_4p_plus_1(cert5, tmp_path, r):
     assert cli.main(["verify", str(path)]) == cli.EX_DATAERR
 
 
+@pytest.mark.parametrize("p", [1, -1, 0, 3, 4])
+def test_verify_rejects_p_below_5_at_once(cert5, tmp_path, p):
+    # C10's p-adic valuations never end for p = 1 or -1, so verify runs
+    # in a child process that a hang would fail, not stall
+    doc = json.loads(emit(cert5))
+    doc["p"], doc["r"] = str(p), str(4 * p + 1)
+    text = json.dumps(doc)
+    with pytest.raises(CertificateFormatError, match="field p"):
+        parse(text)
+    path = tmp_path / "cert.json"
+    path.write_text(text)
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-m", "locyc", "verify", str(path)],
+                          env=env, capture_output=True, timeout=60)
+    assert done.returncode == cli.EX_DATAERR, done.stderr
+
+
 @pytest.mark.parametrize(
     "block, key, value",
     [
@@ -172,6 +194,10 @@ def test_verify_fails_fast_on_a_certificate_edited_to_a_large_p():
     report = verify_certificate(forged)
     assert time.monotonic() - t0 < 10
     assert "C1" in report.failing()
+    # a detail names the size of an integer that str() cannot convert
+    by_id = {r.check_id: r for r in report.results}
+    assert by_id["C4"].details.startswith("delta mismatch"), by_id["C4"].details
+    assert not any("Exceeds the limit" in r.details for r in report.results)
 
 
 def test_parse_without_check_list(cert5):

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+from array import array
 from dataclasses import replace
 from pathlib import Path
 
@@ -16,7 +17,6 @@ from locyc.prime_search import (
     SearchConfig,
     SearchStats,
     SieveTables,
-    _root_tables,
     _sieve_form,
     _small_primes,
     _strong_probable_prime,
@@ -206,7 +206,10 @@ def test_small_primes():
 
 
 def sieve_marks(constant, coefficient, start, length, primes):
-    ells, roots = _root_tables(coefficient, (constant,), primes)
+    """_sieve_form on one form, with its own roots: the primes not
+    dividing the coefficient, each with -constant / coefficient mod ell."""
+    ells = array("I", (ell for ell in primes if coefficient % ell))
+    roots = array("I", (-constant * pow(coefficient, -1, ell) % ell for ell in ells))
     marks = bytearray(length)
     _sieve_form(marks, start, constant, coefficient, ells, roots)
     return marks
@@ -245,16 +248,20 @@ def test_sieve_parity_self_check(target5):
 
 
 # doctored forms with small constants, so that some form values are
-# themselves sieve primes; the coefficients share the primes 2 and 3
+# themselves sieve primes: 23 and 151 (Q1), 7, 71 and 199 (Q2), and 5,
+# 13, 17 and 29 (Q3).  Q1 - Q2 = 16 Q3, as the sieve tables require.
 DOCTORED = LinearFormTriple(
-    p=5, q1_constant=7, q2_constant=5, q3_constant=1,
-    q12_coefficient=6, q3_coefficient=4,
+    p=5, q1_constant=23, q2_constant=7, q3_constant=1,
+    q12_coefficient=64, q3_coefficient=4,
 )
 
 
-@pytest.mark.parametrize("forms_of", ["doctored", "p5"])
-def test_sieve_tables_mark_exactly_the_divisible_values(forms_of, target5):
-    forms = DOCTORED if forms_of == "doctored" else linear_forms(target5)
+@pytest.mark.parametrize("forms_of", ["doctored", "p5", "p7"])
+def test_sieve_tables_mark_exactly_the_divisible_values(forms_of):
+    if forms_of == "doctored":
+        forms = DOCTORED
+    else:
+        forms = linear_forms(build_targets(build_bundle(int(forms_of[1:]))))
     bound = 200
     primes = _small_primes(bound)
     tables = SieveTables(forms, bound, 300)
@@ -274,9 +281,10 @@ def test_sieve_tables_mark_exactly_the_divisible_values(forms_of, target5):
             v = forms.q3_at(d_lo + i)
             assert bool(mark) == sieved_out(v, forms.q3_coefficient, primes), v
     if forms is DOCTORED:
-        # at d = 0, X = 0..5: Q1 = 7, 13, 19, 25, 31, 37 and
-        # Q2 = 5, 11, 17, 23, 29, 35; only 25 and 35 are sieved out
-        assert tables.window_marks(0)[:6] == b"\x00\x00\x00\x01\x00\x01"
+        # at d = 0, X = 0..5: Q1 = 23, 87, 151, 215, 279, 343 and
+        # Q2 = 7, 71, 135, 199, 263, 327; only X = 0 has neither form
+        # sieved out, because 23 and 7 are sieve primes themselves
+        assert tables.window_marks(0)[:6] == b"\x00\x01\x01\x01\x01\x01"
         # Q3(d) = 1 + 4d is the sieve prime 5, 13, 17, 29 at d = 1, 3, 4, 7
         q3 = tables.q3_marks(0, 50)
         for d in (1, 3, 4, 7):
