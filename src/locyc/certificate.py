@@ -12,13 +12,15 @@ them.
 The checks, in fixed order:
 
 C1   the six residue conditions on a0, b0, c0 (mod 64 and mod p^r
-     against freshly recomputed 2-torsion coordinates)
-C2   difference/prime structure of q1, q2, q3
+     against freshly recomputed 2-torsion coordinates), which the
+     recorded series digest must equal
+C2   difference/prime structure of q1, q2, q3, their values at the
+     recorded search point, and the recorded primality evidence
 C3   q1 = q2 = q3 = 1 mod p
 C4   discriminant identity  delta = 2^12 p^(2p) (q1 q2 q3)^2
 C5   reduced c4 identity, coprimality, and c4 = 1 mod p^p
 C6   good reduction at 2 on the shifted integral model
-C7   multiplicative reduction at p on the p-integral model
+C7   multiplicative reduction at p on the split model
 C8   multiplicative reduction at q1, q2, q3 on the split model
 C9   inverse-j congruence between the integer curve and the series
      curve to precision p^(4p+1)
@@ -35,7 +37,6 @@ import json
 import math
 import re
 from dataclasses import dataclass, field, replace
-from fractions import Fraction
 
 from . import curve_model, tate_series
 from .padic import from_rational, hensel_lift
@@ -113,6 +114,8 @@ def _fresh_xpp(p: int, r: int):
 def _c1(cert: Certificate):
     pr = cert.p**cert.r
     x1, x2, x3 = _fresh_xpp(cert.p, cert.r)
+    if cert.series_digest != (x1, x2, x3):
+        return False, "series_digest differs from the recomputed coordinates"
     conds = [
         ("a0 mod 64 = 0", cert.a0 % 64 == 0),
         ("a0 matches the first coordinate mod p^r", cert.a0 % pr == x1),
@@ -139,17 +142,25 @@ def _c2(cert: Certificate):
         return False, f"c0 - a0 ({_bits(cert.c0 - cert.a0)}) differs from q2"
     if cert.b0 - cert.c0 != step * cert.q3:
         return False, "b0 - c0 is not 16 p^p q3"
-    verdicts = []
+    # q1 and q2 are the forms' values at the recorded search point
+    q12_coefficient = 64 * p**cert.r
+    if cert.s1 + q12_coefficient * cert.x0 != cert.q1:
+        return False, "s1 + 64 p^r x0 differs from q1"
+    if cert.s2 + q12_coefficient * cert.y0 != cert.q2:
+        return False, "s2 + 64 p^r y0 differs from q2"
+    evidence = []
     for label, q in (("q1", cert.q1), ("q2", cert.q2), ("q3", cert.q3)):
         ev = is_prime(q)
         if not ev.is_prime_enough():
             return False, f"{label} ({_bits(q)}) is {ev.verdict}"
         if q in (2, p):
             return False, f"{label} equals {q}, which is excluded"
-        verdicts.append(ev.verdict)
+        evidence.append(ev)
     if len({cert.q1, cert.q2, cert.q3}) != 3:
         return False, "q1, q2, q3 are not pairwise distinct"
-    return True, f"differences match, primality: {verdicts}"
+    if cert.primality != tuple(evidence):
+        return False, "recorded primality evidence differs from the recomputed evidence"
+    return True, f"differences match, primality: {[ev.verdict for ev in evidence]}"
 
 
 def _c3(cert: Certificate):
@@ -158,7 +169,7 @@ def _c3(cert: Certificate):
 
 
 def _c4(cert: Certificate):
-    delta, _ = curve_model.split_delta_and_reduced_c4(cert.a0, cert.b0, cert.c0)
+    delta = curve_model.split_model(cert.a0, cert.b0, cert.c0).discriminant()
     expected = 2**12 * cert.p ** (2 * cert.p) * (cert.q1 * cert.q2 * cert.q3) ** 2
     return delta == expected, (
         "delta = 2^12 p^(2p) (q1 q2 q3)^2 exactly"
@@ -170,7 +181,8 @@ def _c4(cert: Certificate):
 
 def _c5(cert: Certificate):
     p = cert.p
-    _, c4r = curve_model.split_delta_and_reduced_c4(cert.a0, cert.b0, cert.c0)
+    c4, _ = curve_model.split_model(cert.a0, cert.b0, cert.c0).c_invariants()
+    c4r = c4 // 16  # the split model's c4 is 16 (a^2 + b^2 + c^2 - ab - bc - ca)
     expected = cert.q1**2 - 16 * p**p * cert.q2 * cert.q3
     if c4r != expected:
         return False, f"reduced c4 ({_bits(c4r)}) differs from q1^2 - 16 p^p q2 q3"
@@ -193,8 +205,7 @@ def _c6(cert: Certificate):
 def _c7(cert: Certificate):
     p = cert.p
     split = curve_model.split_model(cert.a0, cert.b0, cert.c0)
-    model = curve_model.transform(split, 2, Fraction(1, 3), 1, 0)
-    rt = curve_model.reduction_type(model, p)
+    rt = curve_model.reduction_type(split, p)
     if rt.v_delta_min < p:
         return False, f"v_p(delta) = {rt.v_delta_min} < p"
     if rt.v_c4 != 0:
@@ -223,10 +234,7 @@ def _c9(cert: Certificate):
     guard = r + 2 * p  # the discriminant's valuation 2p is absorbed here
     split = curve_model.split_model(cert.a0, cert.b0, cert.c0)
     c4, _ = split.c_invariants()
-    inv_j_exact = split.discriminant() / c4**3
-    inv_j_int = from_rational(
-        inv_j_exact.numerator, inv_j_exact.denominator, p, guard
-    )
+    inv_j_int = from_rational(split.discriminant(), c4**3, p, guard)
     a, b = tate_series.cubic_coefficients(p, guard)
     delta_q = -((a**3 * 4 + b * b * 27) * 16)
     c4_q = -(a * 48)
@@ -258,9 +266,9 @@ def _c11(cert: Certificate, ell_bound: int = 1000):
     if len({cert.a0, cert.b0, cert.c0}) != 3:
         return False, "roots are not distinct"
     split = curve_model.split_model(cert.a0, cert.b0, cert.c0)
-    delta_num = split.discriminant().numerator
+    delta = split.discriminant()
     for ell in _small_primes(ell_bound):
-        if ell == 2 or ell == cert.p or delta_num % ell == 0:
+        if ell == 2 or ell == cert.p or delta % ell == 0:
             continue
         n = curve_model.count_points_mod_ell(split, ell)
         if abs(ell + 1 - n) > 2 * math.isqrt(ell) + 2:
@@ -404,6 +412,8 @@ def parse(text: str) -> Certificate:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise CertificateFormatError(f"not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise CertificateFormatError("not valid JSON: nested too deeply") from exc
     if not isinstance(doc, dict):
         raise CertificateFormatError("top level must be an object")
     version = doc.get("format_version")
@@ -422,6 +432,14 @@ def parse(text: str) -> Certificate:
     # C10 raise p to the power r before any check can fail
     if ints["r"] != 4 * ints["p"] + 1:
         raise CertificateFormatError(f"field r must be 4p + 1, got {ints['r']}")
+    # b0 - c0 is 16 p^p q3 with q3 >= 1, so p^p, and with it every p^r the
+    # checks compute, is bounded by the file's size.  Bit lengths only:
+    # p^p itself is not computed
+    span = ints["b0"] - ints["c0"]
+    if span <= 0 or ints["p"] * (ints["p"].bit_length() - 1) >= span.bit_length():
+        raise CertificateFormatError(
+            f"b0 - c0 ({span.bit_length()}-bit) cannot be 16 p^p q3 for p = {ints['p']}"
+        )
     digest = doc.get("series_digest")
     if not isinstance(digest, list) or len(digest) != 3:
         raise CertificateFormatError("series_digest must be a list of 3 strings")

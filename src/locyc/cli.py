@@ -177,7 +177,7 @@ def _cmd_verify(args) -> int:
     except OSError as exc:
         print(f"error: cannot read {args.file}: {exc}", file=sys.stderr)
         return EX_DATAERR
-    except CertificateFormatError as exc:
+    except (CertificateFormatError, UnicodeDecodeError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EX_DATAERR
     report = verify_certificate(cert)

@@ -1,9 +1,10 @@
-"""Weierstrass models over Q with exact rational arithmetic.
+"""Integral Weierstrass models with exact integer arithmetic.
 
-Long form y^2 + a1*xy + a3*y = x^3 + a2*x^2 + a4*x + a6.  Standard
-b/c-invariants and discriminant, admissible coordinate changes, the
-minimality-shortcut reduction-type classifier, and naive point counting
-over small prime fields.  No floating point anywhere.
+Long form y^2 + a1*xy + a3*y = x^3 + a2*x^2 + a4*x + a6 with integer
+coefficients.  Standard b/c-invariants and discriminant, changes of
+variables over Z, the minimality-shortcut reduction-type classifier, and
+naive point counting over small prime fields.  The j-invariant is the
+only rational; no floating point anywhere.
 """
 
 from __future__ import annotations
@@ -16,21 +17,19 @@ from .padic import int_valuation
 POINT_COUNT_BOUND = 10**6
 
 
-def _frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
-
-
 @dataclass(frozen=True)
 class CurveModel:
-    a1: Fraction
-    a2: Fraction
-    a3: Fraction
-    a4: Fraction
-    a6: Fraction
+    a1: int
+    a2: int
+    a3: int
+    a4: int
+    a6: int
 
     def __post_init__(self):
         for name in ("a1", "a2", "a3", "a4", "a6"):
-            object.__setattr__(self, name, _frac(getattr(self, name)))
+            value = getattr(self, name)
+            if not isinstance(value, int):
+                raise ValueError(f"{name} must be an int, got {value!r}")
         if self.discriminant() == 0:
             raise ValueError("singular model: discriminant is zero")
 
@@ -54,80 +53,50 @@ class CurveModel:
         c6 = -(b2**3) + 36 * b2 * b4 - 216 * b6
         return c4, c6
 
-    def discriminant(self) -> Fraction:
+    def discriminant(self) -> int:
         b2, b4, b6, b8 = self.b_invariants()
         return -(b2 * b2 * b8) - 8 * b4**3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
 
     def j_invariant(self) -> Fraction:
         c4, _ = self.c_invariants()
-        return c4**3 / self.discriminant()
+        return Fraction(c4**3, self.discriminant())
 
     def invariants(self):
-        """(b2, b4, b6, b8, c4, c6, delta, j) as exact rationals."""
+        """(b2, b4, b6, b8, c4, c6, delta, j); j is a Fraction."""
         b2, b4, b6, b8 = self.b_invariants()
         c4, c6 = self.c_invariants()
         delta = self.discriminant()
-        return b2, b4, b6, b8, c4, c6, delta, c4**3 / delta
-
-    def is_integral_at(self, prime: int) -> bool:
-        return all(
-            a.denominator % prime != 0
-            for a in (self.a1, self.a2, self.a3, self.a4, self.a6)
-        )
-
-    def rhs_cubic_mod(self, ell: int) -> list[int]:
-        """Coefficients of (2y + a1 x + a3)^2 = 4x^3 + b2 x^2 + 2b4 x + b6
-        reduced mod an odd prime ell; requires integrality at ell."""
-        b2, b4, b6, _ = self.b_invariants()
-        out = []
-        for coef in (b6, 2 * b4, b2, Fraction(4)):
-            if coef.denominator % ell == 0:
-                raise ValueError(f"model not integral at {ell}")
-            out.append(coef.numerator * pow(coef.denominator, -1, ell) % ell)
-        return out  # constant term first
+        return b2, b4, b6, b8, c4, c6, delta, Fraction(c4**3, delta)
 
 
-def split_model(a, b, c) -> CurveModel:
+def split_model(a: int, b: int, c: int) -> CurveModel:
     """y^2 = (x - a)(x - b)(x - c)."""
-    a, b, c = _frac(a), _frac(b), _frac(c)
-    return CurveModel(
-        a1=Fraction(0),
-        a2=-(a + b + c),
-        a3=Fraction(0),
-        a4=a * b + b * c + c * a,
-        a6=-(a * b * c),
-    )
+    return CurveModel(0, -(a + b + c), 0, a * b + b * c + c * a, -(a * b * c))
 
 
-def split_delta_and_reduced_c4(a: int, b: int, c: int) -> tuple[int, int]:
-    """Discriminant and c4/16 of the split model over integers.
+def transform(model: CurveModel, u: int, r: int, s: int, t: int) -> CurveModel:
+    """Change of variables x = u^2 x' + r, y = u^3 y' + u^2 s x' + t over Z.
 
-    delta = 16 (a-b)^2 (b-c)^2 (c-a)^2 and the reduced c4 is
-    a^2 + b^2 + c^2 - ab - bc - ca, which is the standard c4 divided by
-    the unit 16.
+    delta scales by u^-12, c4 by u^-4; j is untouched.  Raises
+    ArithmeticError when a new coefficient is not an integer.
     """
-    if a == b or b == c or a == c:
-        raise ValueError("roots must be pairwise distinct")
-    delta = 16 * (a - b) ** 2 * (b - c) ** 2 * (c - a) ** 2
-    c4_reduced = a * a + b * b + c * c - a * b - b * c - c * a
-    return delta, c4_reduced
-
-
-def transform(model: CurveModel, u, r, s, t) -> CurveModel:
-    """Admissible change of variables x = u^2 x' + r, y = u^3 y' + u^2 s x' + t.
-
-    delta scales by u^-12, c4 by u^-4; j is untouched.
-    """
-    u, r, s, t = _frac(u), _frac(r), _frac(s), _frac(t)
     if u == 0:
         raise ValueError("u must be nonzero")
     a1, a2, a3, a4, a6 = model.a1, model.a2, model.a3, model.a4, model.a6
-    na1 = (a1 + 2 * s) / u
-    na2 = (a2 - s * a1 + 3 * r - s * s) / u**2
-    na3 = (a3 + r * a1 + 2 * t) / u**3
-    na4 = (a4 - s * a3 + 2 * r * a2 - (t + r * s) * a1 + 3 * r * r - 2 * s * t) / u**4
-    na6 = (a6 + r * a4 + r * r * a2 + r**3 - t * a3 - t * t - r * t * a1) / u**6
-    return CurveModel(na1, na2, na3, na4, na6)
+    numerators = (
+        a1 + 2 * s,
+        a2 - s * a1 + 3 * r - s * s,
+        a3 + r * a1 + 2 * t,
+        a4 - s * a3 + 2 * r * a2 - (t + r * s) * a1 + 3 * r * r - 2 * s * t,
+        a6 + r * a4 + r * r * a2 + r**3 - t * a3 - t * t - r * t * a1,
+    )
+    coefficients = []
+    for name, num, weight in zip(("a1", "a2", "a3", "a4", "a6"), numerators, (1, 2, 3, 4, 6)):
+        quotient, remainder = divmod(num, u**weight)
+        if remainder:
+            raise ArithmeticError(f"{name} came out non-integral")
+        coefficients.append(quotient)
+    return CurveModel(*coefficients)
 
 
 def two_model(a0: int, b0: int, c0: int) -> CurveModel:
@@ -145,17 +114,9 @@ def two_model(a0: int, b0: int, c0: int) -> CurveModel:
     if c0 % 64 != 17:
         raise ValueError(f"c0 must be 17 mod 64, got {c0 % 64}")
     m = transform(split_model(a0, b0, c0), 2, 1, 1, 0)
-    for name in ("a1", "a2", "a3", "a4", "a6"):
-        if getattr(m, name).denominator != 1:
-            raise ArithmeticError(f"{name} came out non-integral")
-    if m.discriminant().numerator % 2 == 0:
+    if m.discriminant() % 2 == 0:
         raise ArithmeticError("discriminant unexpectedly even")
     return m
-
-
-def _val_at(x: Fraction, prime: int):
-    """Valuation of a rational at a prime; inf for zero."""
-    return int_valuation(x.numerator, prime) - int_valuation(x.denominator, prime)
 
 
 @dataclass(frozen=True)
@@ -174,11 +135,9 @@ def reduction_type(model: CurveModel, prime: int) -> ReductionType:
     and v(c4) = 0 means multiplicative.  Anything the shortcut cannot
     settle is reported as additive-or-undetermined rather than guessed.
     """
-    if not model.is_integral_at(prime):
-        raise ValueError(f"model is not integral at {prime}")
-    v_delta = _val_at(model.discriminant(), prime)
+    v_delta = int_valuation(model.discriminant(), prime)
     c4, _ = model.c_invariants()
-    v_c4 = _val_at(c4, prime)
+    v_c4 = int_valuation(c4, prime)
     minimal = v_c4 < 4 or v_delta < 12
     if not minimal:
         return ReductionType(prime, "additive-or-undetermined", v_delta, v_c4)
@@ -201,18 +160,18 @@ def count_points_mod_ell(model: CurveModel, ell: int) -> int:
         raise ValueError("ell must be an odd prime")
     if ell > POINT_COUNT_BOUND:
         raise ValueError(f"ell exceeds the naive-count bound {POINT_COUNT_BOUND}")
-    if not model.is_integral_at(ell):
-        raise ValueError(f"model not integral at {ell}")
-    if _val_at(model.discriminant(), ell) != 0:
+    if model.discriminant() % ell == 0:
         raise ValueError(f"bad reduction at {ell}")
-    c0, c1, c2, c3 = model.rhs_cubic_mod(ell)
+    # (2y + a1 x + a3)^2 = 4x^3 + b2 x^2 + 2b4 x + b6
+    b2, b4, b6, _ = model.b_invariants()
+    c2, c1, c0 = b2 % ell, 2 * b4 % ell, b6 % ell
     # quadratic-residue table: squares[v] = 1 iff v is a nonzero square
     squares = bytearray(ell)
     for t in range(1, (ell - 1) // 2 + 1):
         squares[t * t % ell] = 1
     count = 1
     for x in range(ell):
-        rhs = (((c3 * x + c2) * x + c1) * x + c0) % ell
+        rhs = (((4 * x + c2) * x + c1) * x + c0) % ell
         if rhs == 0:
             count += 1
         elif squares[rhs]:

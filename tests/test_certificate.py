@@ -18,7 +18,7 @@ from locyc.certificate import (
     verify_certificate,
     with_report,
 )
-from locyc.curve_model import split_delta_and_reduced_c4
+from locyc.curve_model import split_model
 from locyc.prime_search import SearchConfig
 
 MUTATION_DELTAS = (1, -1, 2, -2, 16, -16, 64, -64, 5)
@@ -183,21 +183,96 @@ def test_verify_rejects_mistyped_rows(cert5, tmp_path, block, key, value):
     assert cli.main(["verify", str(path)]) == cli.EX_DATAERR
 
 
-def test_verify_fails_fast_on_a_certificate_edited_to_a_large_p():
-    # C1, C9 and C10 work mod p^r and C10 Hensel-lifts x^(2p) - q0, so
-    # the cost of a forged p must stay in seconds, not minutes
+def test_verify_fails_fast_on_a_certificate_edited_to_a_large_p(tmp_path):
+    # C1, C9 and C10 work mod p^r and C10 Hensel-lifts x^(2p) - q0, so a
+    # forged p must not cost minutes: b0 - c0 = 16 p^p q3 bounds p by the
+    # file's size, and a larger p is a parse error
     cert, _ = cli.construct(13, SearchConfig(seed=1))
+    path = tmp_path / "cert.json"
+    for p in (1009, 10007):
+        doc = json.loads(emit(cert))
+        doc["p"], doc["r"] = str(p), str(4 * p + 1)
+        text = json.dumps(doc)
+        with pytest.raises(CertificateFormatError, match="b0 - c0"):
+            parse(text)
+        path.write_text(text)
+        t0 = time.monotonic()
+        assert cli.main(["verify", str(path)]) == cli.EX_DATAERR
+        assert time.monotonic() - t0 < 10
+    # a forged q3 still parses; a detail names the size of an integer
+    # that str() cannot convert
     doc = json.loads(emit(cert))
-    doc["p"], doc["r"] = "1009", "4037"
-    forged = parse(json.dumps(doc))
+    doc["q3"] = "9" * 4000
     t0 = time.monotonic()
-    report = verify_certificate(forged)
+    report = verify_certificate(parse(json.dumps(doc)))
     assert time.monotonic() - t0 < 10
-    assert "C1" in report.failing()
-    # a detail names the size of an integer that str() cannot convert
     by_id = {r.check_id: r for r in report.results}
     assert by_id["C4"].details.startswith("delta mismatch"), by_id["C4"].details
     assert not any("Exceeds the limit" in r.details for r in report.results)
+
+
+@pytest.mark.parametrize("b0_minus_c0", [0, -1])
+def test_parse_rejects_b0_not_above_c0(cert5, b0_minus_c0):
+    doc = json.loads(emit(cert5))
+    doc["b0"] = str(cert5.c0 + b0_minus_c0)
+    with pytest.raises(CertificateFormatError, match="b0 - c0"):
+        parse(json.dumps(doc))
+
+
+@pytest.mark.parametrize(
+    "data",
+    [b'{"p": "\xff\xfe"}', b"[" * 100000],
+    ids=["not-utf-8", "nested-too-deeply"],
+)
+def test_verify_exits_65_on_an_unreadable_file(tmp_path, data):
+    path = tmp_path / "cert.json"
+    path.write_bytes(data)
+    assert cli.main(["verify", str(path)]) == cli.EX_DATAERR
+
+
+def _edit_primality(row, key):
+    if key == "n":
+        row["n"] = str(int(row["n"]) + 2)
+    elif key == "verdict":
+        row["verdict"] = (
+            "probable-prime" if row["verdict"] == "prime-deterministic"
+            else "prime-deterministic"
+        )
+    elif key == "method":
+        row["method"] += "-edited"
+    else:
+        row["witnesses"] = row["witnesses"][:-1]
+
+
+RECORDED_FIELD_EDITS = (
+    [f"series_digest[{i}]" for i in range(3)]
+    + [f"primality[{i}].{key}" for i in range(3)
+       for key in ("n", "verdict", "method", "witnesses")]
+    + ["primality"]
+)
+
+
+@pytest.mark.parametrize("edit", RECORDED_FIELD_EDITS)
+def test_verify_fails_on_an_edited_recorded_field(cert5, tmp_path, edit):
+    # C1 recomputes the series digest and C2 the primality evidence, so
+    # an edit to either fails verification instead of passing unseen
+    doc = json.loads(emit(cert5))
+    if edit.startswith("series_digest"):
+        i = int(edit[len("series_digest[")])
+        doc["series_digest"][i] = str(int(doc["series_digest"][i]) + 1)
+        expected = ["C1"]
+    elif edit == "primality":
+        doc["primality"] = []
+        expected = ["C2"]
+    else:
+        i, key = int(edit[len("primality[")]), edit.split(".")[1]
+        _edit_primality(doc["primality"][i], key)
+        expected = ["C2"]
+    text = json.dumps(doc)
+    assert verify_certificate(parse(text)).failing() == expected
+    path = tmp_path / "cert.json"
+    path.write_text(text)
+    assert cli.main(["verify", str(path)]) == 1
 
 
 def test_parse_without_check_list(cert5):
@@ -275,6 +350,6 @@ def test_discriminant_and_c4_are_identities_in_the_relations(p, a0, q1, q3):
     b0, c0 = a0 + q1, a0 + q2
     if q2 == 0 or q1 == q2:
         return
-    delta, c4r = split_delta_and_reduced_c4(a0, b0, c0)
-    assert delta == 2**12 * p ** (2 * p) * (q1 * q2 * q3) ** 2
-    assert c4r == q1**2 - 16 * p**p * q2 * q3
+    m = split_model(a0, b0, c0)
+    assert m.discriminant() == 2**12 * p ** (2 * p) * (q1 * q2 * q3) ** 2
+    assert m.c_invariants()[0] == 16 * (q1**2 - 16 * p**p * q2 * q3)

@@ -9,7 +9,6 @@ from locyc.curve_model import (
     CurveModel,
     count_points_mod_ell,
     reduction_type,
-    split_delta_and_reduced_c4,
     split_model,
     transform,
     two_model,
@@ -29,16 +28,18 @@ def test_constructor_rejects_singular():
 
 
 def test_split_examples():
-    assert split_delta_and_reduced_c4(0, 1, 17) == (1183744, 273)
-    assert split_delta_and_reduced_c4(0, 1, 2) == (64, 3)
-    with pytest.raises(ValueError, match="distinct"):
-        split_delta_and_reduced_c4(1, 1, 2)
+    m = split_model(0, 1, 17)
+    assert (m.discriminant(), m.c_invariants()[0]) == (1183744, 16 * 273)
+    m = split_model(0, 1, 2)
+    assert (m.discriminant(), m.c_invariants()[0]) == (64, 16 * 3)
+    with pytest.raises(ValueError, match="singular"):
+        split_model(1, 1, 2)
 
 
 def test_reduced_c4_equals_prime_difference_expression(cert5):
     # on a constructed certificate, c4/16 = q1^2 - 16 p^p q2 q3
-    _, c4r = split_delta_and_reduced_c4(cert5.a0, cert5.b0, cert5.c0)
-    assert c4r == cert5.q1**2 - 16 * 5**5 * cert5.q2 * cert5.q3
+    c4, _ = split_model(cert5.a0, cert5.b0, cert5.c0).c_invariants()
+    assert c4 == 16 * (cert5.q1**2 - 16 * 5**5 * cert5.q2 * cert5.q3)
 
 
 def test_transform_identity():
@@ -50,17 +51,17 @@ def test_transform_known_change():
     # x = 4x' + 1, y = 8y' + 4x' is (u, r, s, t) = (2, 1, 1, 0)
     m = split_model(0, 1, 17)
     t = transform(m, 2, 1, 1, 0)
-    assert t.discriminant() == 1183744 / Fraction(2**12) == 289
+    assert t.discriminant() == 1183744 // 2**12 == 289
     assert t.j_invariant() == m.j_invariant()
 
 
 def test_transform_scaling_laws():
     m = split_model(0, 1, 17)
-    t = transform(m, Fraction(3, 2), Fraction(1, 5), 2, Fraction(-7, 3))
-    u = Fraction(3, 2)
-    assert t.discriminant() == m.discriminant() / u**12
-    assert t.c_invariants()[0] == m.c_invariants()[0] / u**4
-    assert t.j_invariant() == m.j_invariant()
+    for u, r, s, t in [(-1, 3, -2, 5), (2, 1, 1, 0)]:
+        n = transform(m, u, r, s, t)
+        assert n.discriminant() * u**12 == m.discriminant()
+        assert n.c_invariants()[0] * u**4 == m.c_invariants()[0]
+        assert n.j_invariant() == m.j_invariant()
 
 
 def test_two_model_examples():
@@ -111,10 +112,12 @@ def test_reduction_type_undetermined_without_minimality():
     assert rt.v_delta_min >= 12 and rt.v_c4 >= 4
 
 
-def test_reduction_type_requires_integrality():
-    m = CurveModel(0, 0, 0, Fraction(1, 5), 1)
-    with pytest.raises(ValueError, match="integral"):
-        reduction_type(m, 5)
+def test_models_require_integer_coefficients():
+    with pytest.raises(ValueError, match="a4 must be an int"):
+        CurveModel(0, 0, 0, Fraction(1, 5), 1)
+    # x = 4x' on y^2 = x(x-1)(x-17) leaves a2 = -18/4
+    with pytest.raises(ArithmeticError, match="a2 came out non-integral"):
+        transform(split_model(0, 1, 17), 2, 0, 0, 0)
 
 
 def test_count_points_mod_3_exhaustive_oracle():
@@ -157,7 +160,7 @@ def test_c_invariant_identity(a1, a2, a3, a4, a6):
         return
     _, _, _, _, c4, c6, delta, j = m.invariants()
     assert c4**3 - c6**2 == 1728 * delta
-    assert j == c4**3 / delta
+    assert j == Fraction(c4**3, delta)
 
 
 @given(small, small, small)
@@ -166,9 +169,8 @@ def test_split_model_identities(a, b, c):
     if a == b or b == c or a == c:
         return
     m = split_model(a, b, c)
-    delta, c4r = split_delta_and_reduced_c4(a, b, c)
-    assert m.discriminant() == delta == 16 * ((a - b) * (b - c) * (c - a)) ** 2
-    assert m.c_invariants()[0] == 16 * c4r
+    assert m.discriminant() == 16 * ((a - b) * (b - c) * (c - a)) ** 2
+    assert m.c_invariants()[0] == 16 * (a * a + b * b + c * c - a * b - b * c - c * a)
 
 
 @given(st.sampled_from([3, 5, 7, 11, 13, 19, 31, 97, 101]), small, small, small)
