@@ -7,6 +7,7 @@ Exit codes are the machine contract:
   3   internal invariant failure
   64  usage error
   65  certificate parse error
+  73  the certificate file cannot be written
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ log = logging.getLogger("locyc")
 
 EX_USAGE = 64
 EX_DATAERR = 65
+EX_CANTCREAT = 73
 
 
 class UsageError(Exception):
@@ -163,7 +165,11 @@ def _cmd_construct(args) -> int:
             file=sys.stderr,
         )
         return 3
-    _write_atomically(out, emit(cert))
+    try:
+        _write_atomically(out, emit(cert))
+    except OSError as exc:
+        print(f"error: cannot write {out}: {exc.strerror or exc}", file=sys.stderr)
+        return EX_CANTCREAT
     log.info("event=certificate_written path=%s", out)
     print(f"certificate written to {out} (q1, q2, q3 of {cert.q1.bit_length()}, "
           f"{cert.q2.bit_length()}, {cert.q3.bit_length()} bits)")

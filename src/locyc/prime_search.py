@@ -4,11 +4,12 @@ Existence of such points is a deep theorem with no effective bound, so
 this module runs a bounded, reproducible search instead of a proof.
 Strategy: the identity Q1 - Q2 = 16 p^p Q3 means fixing d = X - Y fixes
 Q3, reducing the triple condition to a twin-like one.  The d values are
-visited in a seed-shuffled order; for each d whose Q3 value is prime,
-one window of X values is sieved for Q1(X) and Q2(X - d) simultaneously
-and the survivors are tested in ascending order.  The winner is the hit
-with the smallest (d-index, X) position in that stream, which makes the
-result independent of how many workers ran the probes.
+visited in a seed-shuffled order; for each d whose Q3 value passes the
+sieve and the screen, one window of X values is sieved for Q1(X) and
+Q2(X - d) simultaneously and the survivors are tested in ascending
+order.  The winner is the hit with the smallest (d-index, X) position in
+that stream, which makes the result independent of how many workers ran
+the probes.
 
 Only where a hit can be does the search run Miller-Rabin:
 
@@ -22,11 +23,20 @@ Only where a hit can be does the search run Miller-Rabin:
 - Q3 sieve.  Before any test, the Q3 values of the whole d range are
   sieved with the same primes.  A marked d is examined without a
   primality test.
-- Screen.  A window survivor gets a base-2 strong-probable-prime test
-  on Q1, then on Q2.  Only when both pass does ``is_prime`` run on Q1
-  and then Q2.  A prime passes the screen, so both ``is_prime``
-  verdicts still decide the hit and the hit is the one that testing
-  every survivor with ``is_prime`` would find.
+- Screen.  A base-2 strong-probable-prime test.  Q3 gets the screen
+  alone before its window is sieved.  A window survivor is screened on
+  Q2(Y) first, through a per-search memo indexed by Y: as Y runs over
+  the same range for every d, each Q2 value is screened at most once
+  per search (per worker).  Only a survivor whose Q2 passed is screened
+  on Q1.  When both pass, ``is_prime`` runs on Q1 and then Q2; a Q2
+  that it finds composite is remembered, so no later window screens or
+  tests that survivor's Q1 again.  Once a window has its hit,
+  ``is_prime`` runs on Q3, and if it rejects Q3 the d counts as one
+  whose Q3 is not prime.  A prime passes the screen, and the hit is the
+  first X at which the conjunction holds, so the hit is the one that
+  testing every Q3 and every survivor with ``is_prime`` would find.
+  The memo only skips repeated work: what a probe returns depends on d
+  alone.
 - Evidence.  The search returns the ``is_prime`` evidence it computed
   for the hit's Q1, Q2 and Q3; the certificate check C2 re-tests all
   three.
@@ -50,20 +60,25 @@ Probes and workers:
   in-process.
 - Pool.  With more workers the stream opens one process pool per
   search at its first result; the initializer hands every worker the
-  tables, Q2's marks included, so a task is its d alone.  The d values
-  are streamed one task each, with no barrier between tasks, and their
-  results come back in stream order, so the hit and the counters are
-  those of one worker.  At the stop (hit, budget or end of the d range)
-  the stream is closed and the pool terminated: probes that ran ahead
-  of the stop are killed, not waited for.  The pool forks where the
-  platform can, whatever the default start method, and the parent opens
-  the modexp kernel before it forks.
+  tables, Q2's marks included, so a task is its d alone.  Each worker's
+  Q2 memo starts empty at the fork and fills on its own.  That is
+  sound: a probe's result, counters included, depends on d alone, and
+  the memo only decides which screens are computed rather than looked
+  up.  The d values are streamed one task each, with no barrier between
+  tasks, and their results come back in stream order, so the hit and
+  the counters are those of one worker.  At the stop (hit, budget or end
+  of the d range) the stream is closed and the pool terminated: probes
+  that ran ahead of the stop are killed, not waited for.  The pool
+  forks where the platform can, whatever the default start method, and
+  the parent opens the modexp kernel before it forks.
 
-Budget accounting: every d examined costs one test, whether the sieve
-or ``is_prime`` rejected its Q3; a window survivor costs one test, plus
-one more when its Q1 passes the screen.  No d is examined once the
-budget is spent.  The default sieve bound grows with the bit size of
-the window forms (``default_sieve_bound``).
+Budget accounting: every d examined costs one test, whether the sieve,
+the screen or ``is_prime`` rejected its Q3; a window survivor costs one
+test, plus one more when its Q2 passes the screen.  A test that the
+memo answers still counts, so the counters do not depend on the memo's
+state or on the worker count.  No d is examined once the budget is
+spent.  The default sieve bound grows with the bit size of the window
+forms (``default_sieve_bound``).
 """
 
 from __future__ import annotations
@@ -254,6 +269,8 @@ class SearchConfig:
 @dataclass
 class SearchStats:
     d_examined: int = 0
+    # windows sieved: the d whose Q3 passed the sieve and the base-2
+    # screen, less a hit window whose Q3 ``is_prime`` then rejected
     q3_primes: int = 0
     survivors_tested: int = 0
     tests_used: int = 0
@@ -366,7 +383,9 @@ class SieveTables:
     X = q1_roots[k] and Q3(d) iff d = q3_roots[k] mod ell (see
     ``_root_tables``); primes dividing the coefficients are left out.
     The window of d is X in [d, d + x_window), so Y = X - d runs over
-    [0, x_window) for every d: q2_marks holds Q2 sieved there once.
+    [0, x_window) for every d: q2_marks holds Q2 sieved there once, and
+    q2_screen[Y] what is known of Q2(Y) in this process so far (one of
+    the ``_Q2_*`` states; only ``_probe_d`` writes it).
     """
 
     def __init__(self, forms: LinearFormTriple, bound: int, x_window: int):
@@ -375,6 +394,7 @@ class SieveTables:
         self.q2_marks = bytearray(x_window)
         _sieve_form(self.q2_marks, 0, forms.q2_constant, forms.q12_coefficient,
                     self.ells, q2_roots)
+        self.q2_screen = bytearray(x_window)  # all _Q2_UNKNOWN
 
     def window_marks(self, d: int) -> bytearray:
         """Marks of X in [d, d + x_window): set where a sieve prime
@@ -401,49 +421,66 @@ def _passes_screen(n: int) -> bool:
     return n < 3 or _strong_probable_prime(n, 2)
 
 
+# states of SieveTables.q2_screen[y]: Q2(y) not screened yet, failed the
+# screen, passed it, or passed it and is_prime found it composite (a
+# base-2 strong pseudoprime, which still counts as a screen pass)
+_Q2_UNKNOWN, _Q2_FAILED, _Q2_PASSED, _Q2_COMPOSITE = range(4)
+
 # (q3_was_prime, hit, tests, survivors) of a d whose Q3 is not prime; the
-# one test is the sieve's or is_prime's
+# one test is the sieve's, the screen's or is_prime's
 _Q3_NOT_PRIME = (False, None, 1, 0)
 
 
 def _probe_d(tables: SieveTables, d: int):
-    """Examine one d that survived the Q3 sieve: test Q3, then sieve
-    and screen one X window.
+    """Examine one d that survived the Q3 sieve: screen Q3, then sieve
+    and screen one X window, and test Q3 once the window has a hit.
 
     Returns (q3_was_prime, hit, tests, survivors) with hit either None or
-    (x, (Q1 evidence, Q2 evidence, Q3 evidence)).  Pure function of its
-    arguments.
+    (x, (Q1 evidence, Q2 evidence, Q3 evidence)).  The result is a
+    function of d and the search's forms alone; the Q2 memo in
+    ``tables`` only skips repeated work.
     """
     forms = tables.forms
     # Q3(d) > 0: |q3_constant| < q3_coefficient, since s1 and s2 are
     # least residues mod 64 p^r, and d >= 1 unless q3_constant > 0
-    q3_evidence = is_prime(forms.q3_at(d))
-    if not q3_evidence.is_prime_enough():
+    q3 = forms.q3_at(d)
+    if not _passes_screen(q3):
         return _Q3_NOT_PRIME
     marks = tables.window_marks(d)
+    q2_screen = tables.q2_screen
     tests = 1
     survivors = 0
     i = marks.find(0)
     while i >= 0:
-        x = d + i
+        y = i  # the window index is Y = X - d
         i = marks.find(0, i + 1)
         survivors += 1
         tests += 1
-        q1 = forms.q1_at(x)
-        if not _passes_screen(q1):
+        state = q2_screen[y]
+        if state == _Q2_UNKNOWN:
+            state = _Q2_PASSED if _passes_screen(forms.q2_at(y)) else _Q2_FAILED
+            q2_screen[y] = state
+        if state == _Q2_FAILED:
             continue
         tests += 1
-        q2 = forms.q2_at(x - d)
-        if not _passes_screen(q2):
+        if state == _Q2_COMPOSITE:
+            continue
+        x = d + y
+        q1 = forms.q1_at(x)
+        if not _passes_screen(q1):
             continue
         # module-global lookups, so a wrapped is_prime sees these calls
         q1_evidence = is_prime(q1)
         if not q1_evidence.is_prime_enough():
             continue
-        q2_evidence = is_prime(q2)
-        if q2_evidence.is_prime_enough():
-            hit = (x, (q1_evidence, q2_evidence, q3_evidence))
-            return True, hit, tests, survivors
+        q2_evidence = is_prime(forms.q2_at(y))
+        if not q2_evidence.is_prime_enough():
+            q2_screen[y] = _Q2_COMPOSITE
+            continue
+        q3_evidence = is_prime(q3)
+        if not q3_evidence.is_prime_enough():
+            return _Q3_NOT_PRIME
+        return True, (x, (q1_evidence, q2_evidence, q3_evidence)), tests, survivors
     return True, None, tests, survivors
 
 

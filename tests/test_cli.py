@@ -2,6 +2,8 @@ import hashlib
 import json
 import multiprocessing.pool
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -52,6 +54,25 @@ def test_interrupted_write_leaves_no_file(tmp_path, monkeypatch):
     with pytest.raises(KeyboardInterrupt):
         run(["construct", "--prime", "5", "--out", str(tmp_path / "cert.json")])
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("target", ["missing-directory", "a-directory"])
+def test_an_unwritable_out_exits_73_and_leaves_no_temporary_file(tmp_path, target):
+    if target == "missing-directory":
+        out = tmp_path / "no" / "such" / "c.json"
+    else:
+        out = tmp_path / "c.json"
+        out.mkdir()
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, "-m", "locyc", "construct", "--prime", "5", "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == cli.EX_CANTCREAT == 73, done.stderr
+    assert done.stderr.startswith(f"error: cannot write {out}: "), done.stderr
+    assert "Traceback" not in done.stderr
+    assert list(tmp_path.rglob("*.tmp")) == []
 
 
 def test_verify_garbage_file(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import ctypes
+import logging
 import multiprocessing
 import multiprocessing.pool
 import os
@@ -14,6 +15,7 @@ import pytest
 from locyc import modexp, prime_search
 from locyc.prime_search import (
     BudgetExhaustedError,
+    PrimalityEvidence,
     SearchConfig,
     SearchStats,
     SieveTables,
@@ -315,7 +317,9 @@ def test_q2_is_sieved_once_per_search(target5, monkeypatch):
 
 def reference_search(forms, config):
     """Plain search: the seeded d order, is_prime on Q3, then is_prime on
-    every X of the window in ascending order."""
+    every X of the window in ascending order.  It looks is_prime up in
+    ``prime_search``, so a test that wraps it there wraps it here too."""
+    is_prime = prime_search.is_prime
     d_lo = 0 if forms.q3_constant > 0 else 1
     ds = list(range(d_lo, d_lo + config.d_range))
     random.Random(config.seed).shuffle(ds)
@@ -335,6 +339,149 @@ def reference_search(forms, config):
             if q2_evidence.is_prime_enough():
                 return x, x - d, (q1_evidence, q2_evidence, q3_evidence)
     return None
+
+
+# p = 5, seed 1: 64 d values and 16-wide windows hold no hit, so every
+# window is scanned to its end; x_window 64 finds one in the second window
+NO_HIT = SearchConfig(seed=1, d_range=64, x_window=16, sieve_bound=30)
+SECOND_WINDOW_HIT = SearchConfig(seed=1, x_window=64, sieve_bound=30)
+
+
+def window_survivors(forms, config):
+    """Brute force for a search without a hit: (d, Y) of every survivor
+    of every window whose Q3 passes the sieve and the base-2 screen."""
+    tables = SieveTables(forms, config.sieve_bound, config.x_window)
+    d_lo = 0 if forms.q3_constant > 0 else 1
+    q3_sieved = tables.q3_marks(d_lo, config.d_range)
+    return [
+        (d, y)
+        for d in range(d_lo, d_lo + config.d_range)
+        if not q3_sieved[d - d_lo] and _strong_probable_prime(forms.q3_at(d), 2)
+        for y, mark in enumerate(tables.window_marks(d))
+        if not mark
+    ]
+
+
+def q2_screen_passes(forms, survivors):
+    return sum(_strong_probable_prime(forms.q2_at(y), 2) for _, y in survivors)
+
+
+def test_tests_used_counts_each_d_survivor_and_q2_screen_pass(target5):
+    forms = linear_forms(target5)
+    with pytest.raises(BudgetExhaustedError) as info:
+        search(forms, target5, NO_HIT)
+    stats = info.value.stats
+    survivors = window_survivors(forms, NO_HIT)
+    passes = q2_screen_passes(forms, survivors)
+    assert stats.d_examined == NO_HIT.d_range
+    assert stats.survivors_tested == len(survivors)
+    assert 0 < passes < len(survivors)
+    assert stats.tests_used == stats.d_examined + stats.survivors_tested + passes
+
+
+def test_each_q2_value_is_screened_at_most_once_per_search(target5, monkeypatch):
+    forms = linear_forms(target5)
+    q2_values = {forms.q2_at(y) for y in range(NO_HIT.x_window)}
+    screened = []
+    passes_screen = prime_search._passes_screen
+
+    def recording(n):
+        if n in q2_values:
+            screened.append(n)
+        return passes_screen(n)
+
+    monkeypatch.setattr(prime_search, "_passes_screen", recording)
+    with pytest.raises(BudgetExhaustedError) as info:
+        search(forms, target5, NO_HIT)
+    assert len(screened) == len(set(screened)) > 0
+    # every survivor looks its Q2 up, so the memo answered the rest
+    assert info.value.stats.survivors_tested > len(screened)
+
+
+def test_a_q2_that_is_prime_rejects_is_not_tested_again(target5, monkeypatch):
+    # is_prime calls every Q2 composite, as if each were a base-2 strong
+    # pseudoprime, so the search has no hit
+    forms = linear_forms(target5)
+    config = replace(NO_HIT, d_range=512)
+    q2_values = {forms.q2_at(y) for y in range(config.x_window)}
+    rejected = []
+
+    def rejecting(n):
+        if n in q2_values:
+            rejected.append(n)
+            return PrimalityEvidence(n, "composite", "rejected by the test")
+        return is_prime(n)
+
+    monkeypatch.setattr(prime_search, "is_prime", rejecting)
+    stats = []
+    for workers in (1, 2, 3):
+        with pytest.raises(BudgetExhaustedError) as info:
+            search(forms, target5, replace(config, worker_count=workers))
+        s = info.value.stats
+        stats.append((s.d_examined, s.q3_primes, s.survivors_tested, s.tests_used))
+        if workers == 1:
+            one_worker_rejected = rejected[:]
+    # a rejected Q2 still counts its screen pass in every window, and
+    # the memo keeps the counters equal for every worker count
+    survivors = window_survivors(forms, config)
+    passes = q2_screen_passes(forms, survivors)
+    assert stats[0] == stats[1] == stats[2]
+    assert stats[0][2:] == (len(survivors), config.d_range + len(survivors) + passes)
+    # without the memo, is_prime would see a Q2 once per survivor whose
+    # Q2 passes the screen and whose Q1 is prime
+    without_memo = sum(
+        1
+        for d, y in survivors
+        if _strong_probable_prime(forms.q2_at(y), 2)
+        and is_prime(forms.q1_at(d + y)).is_prime_enough()
+    )
+    assert 0 < len(one_worker_rejected) == len(set(one_worker_rejected)) < without_memo
+
+
+def test_is_prime_sees_only_the_hit_windows_q3(target5, monkeypatch, caplog):
+    forms = linear_forms(target5)
+    q3_values = {forms.q3_at(d) for d in range(SECOND_WINDOW_HIT.d_range + 1)}
+    tested = []
+
+    def recording(n):
+        tested.append(n)
+        return is_prime(n)
+
+    monkeypatch.setattr(prime_search, "is_prime", recording)
+    caplog.set_level(logging.INFO, logger=prime_search.__name__)
+    x0, y0, evidence = search(forms, target5, SECOND_WINDOW_HIT)
+    (record,) = [r for r in caplog.records if r.msg.startswith("event=search_stats")]
+    assert record.args[1] > 1  # q3_primes: a window without a hit came first
+    assert [n for n in tested if n in q3_values] == [forms.q3_at(x0 - y0)]
+    # the hit's own tests come last: Q1, Q2, then Q3
+    assert tested[-3:] == [e.n for e in evidence]
+
+
+def test_a_hit_whose_q3_is_prime_rejects_counts_as_a_composite_q3(
+    target5, monkeypatch
+):
+    forms = linear_forms(target5)
+    x0, y0, _ = search(forms, target5, SECOND_WINDOW_HIT)
+    d_hit, q3 = x0 - y0, forms.q3_at(x0 - y0)
+
+    def rejecting(n):
+        if n == q3:
+            return PrimalityEvidence(n, "composite", "rejected by the test")
+        return is_prime(n)
+
+    probed = {}
+    probe_d = prime_search._probe_d
+
+    def recording(tables, d):
+        probed[d] = probe_d(tables, d)
+        return probed[d]
+
+    monkeypatch.setattr(prime_search, "is_prime", rejecting)
+    monkeypatch.setattr(prime_search, "_probe_d", recording)
+    expected = reference_search(forms, SECOND_WINDOW_HIT)
+    assert expected is not None and expected[0] - expected[1] != d_hit
+    assert search(forms, target5, SECOND_WINDOW_HIT) == expected
+    assert probed[d_hit] == prime_search._Q3_NOT_PRIME
 
 
 @pytest.mark.parametrize("p", [5, 7])
@@ -426,7 +573,7 @@ def test_pool_forks_whatever_the_default_start_method(target5, monkeypatch):
 
 
 def test_tiny_budgets_stop_alike_for_every_worker_count(target5):
-    # the hit costs 23 tests, so the sweep stops both before it, often
+    # the hit costs 21 tests, so the sweep stops both before it, often
     # while later d values are still being probed, and at it
     forms = linear_forms(target5)
     outcomes = set()
