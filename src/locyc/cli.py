@@ -13,6 +13,7 @@ Exit codes are the machine contract:
 from __future__ import annotations
 
 import argparse
+import errno
 import logging
 import os
 import sys
@@ -128,6 +129,19 @@ def _write_atomically(path: str, text: str) -> None:
             os.remove(tmp)
 
 
+def _unwritable(path: str) -> str | None:
+    """Why a file cannot be written at path, judged before writing it;
+    None when nothing says so."""
+    directory = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        return os.strerror(errno.EISDIR)
+    if not os.path.isdir(directory):
+        return os.strerror(errno.ENOENT)
+    if not os.access(directory, os.W_OK | os.X_OK):
+        return os.strerror(errno.EACCES)
+    return None
+
+
 def _cmd_construct(args) -> int:
     _check_prime_arg(args.prime)
     if args.budget < 0:
@@ -151,6 +165,11 @@ def _cmd_construct(args) -> int:
         worker_count=args.workers,
     )
     out = args.out or f"certificate-p{args.prime}.json"
+    # fail before the search rather than after it
+    reason = _unwritable(out)
+    if reason is not None:
+        print(f"error: cannot write {out}: {reason}", file=sys.stderr)
+        return EX_CANTCREAT
     try:
         cert, report = construct(args.prime, config)
     except BudgetExhaustedError as exc:

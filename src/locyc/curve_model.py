@@ -57,10 +57,6 @@ class CurveModel:
         b2, b4, b6, b8 = self.b_invariants()
         return -(b2 * b2 * b8) - 8 * b4**3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
 
-    def j_invariant(self) -> Fraction:
-        c4, _ = self.c_invariants()
-        return Fraction(c4**3, self.discriminant())
-
     def invariants(self):
         """(b2, b4, b6, b8, c4, c6, delta, j); j is a Fraction."""
         b2, b4, b6, b8 = self.b_invariants()

@@ -180,10 +180,6 @@ def int_valuation(n: int, p: int):
     return v
 
 
-def from_int(value: int, p: int, n: int) -> PadicInt:
-    return PadicInt(p, n, value % p**n)
-
-
 def from_rational(num: int, den: int, p: int, n: int) -> PadicInt:
     """Embed num/den, which requires den to be a p-adic unit."""
     if den % p == 0:

@@ -46,11 +46,13 @@ Only where a hit can be does the search run Miller-Rabin:
   or ``libcrypto.so.1.1`` for moduli of at least
   ``modexp.CROSSOVER_BITS`` bits (8x faster than builtin ``pow`` at
   1243 bits), builtin ``pow`` below that and wherever the library does
-  not open.  Both give the same values, so verdicts, witnesses and
+  not open.  The strong Lucas test is one ``modexp.lucas_chain``, a
+  Lucas V ladder on OpenSSL Montgomery numbers for moduli of at least
+  ``modexp.LUCAS_CROSSOVER_BITS`` bits and on builtin ints elsewhere.
+  Both backends give the same values, so verdicts, witnesses and
   certificates do not depend on the platform.  The library is opened at
   the first large call, not at import, so a small construct and
-  ``import locyc`` do not pay for it.  The strong Lucas test halves
-  mod n by a shift instead of multiplying by 1/2 mod n.
+  ``import locyc`` do not pay for it.
 
 Probes and workers:
 
@@ -171,7 +173,11 @@ def _strong_lucas(n: int):
     """Strong Lucas probable-prime test with Selfridge parameters.
 
     Returns (passed, D) so the chosen discriminant can be recorded.
-    Perfect squares are rejected before the D search.
+    Perfect squares are rejected before the D search.  With P = 1,
+    Q = (1 - D)/4 and n + 1 = d 2^s2, n passes when U_d = 0 or
+    V_(d 2^r) = 0 mod n for some 0 <= r < s2.  ``modexp.lucas_chain``
+    gives V_d, V_(d+1) and Q^d; as D U_d = 2 V_(d+1) - V_d and D is a
+    unit mod n once (D|n) = -1, U_d = 0 exactly when 2 V_(d+1) = V_d.
     """
     s = math.isqrt(n)
     if s * s == n:
@@ -184,26 +190,11 @@ def _strong_lucas(n: int):
         if j == 0 and abs(D) != n:
             return False, D
         D = -D - 2 if D > 0 else -D + 2
-    # P = 1, Q = (1 - D)/4; strong test on n + 1 = d * 2^s2
     Q = (1 - D) // 4
     s2 = int_valuation(n + 1, 2)
     d = (n + 1) >> s2
-    u, v, qk = 1, 1, Q % n
-    for bit in bin(d)[3:]:
-        u, v = u * v % n, (v * v - 2 * qk) % n
-        qk = qk * qk % n
-        if bit == "1":
-            # t / 2 mod n for 0 <= t < n with n odd: t >> 1 if t is even,
-            # else (t + n) >> 1, instead of a multiplication by 1/2 mod n
-            u, v = (u + v) % n, (D * u + v) % n
-            if u & 1:
-                u += n
-            if v & 1:
-                v += n
-            u >>= 1
-            v >>= 1
-            qk = qk * Q % n
-    if u == 0 or v == 0:
+    v, v1, qk = modexp.lucas_chain(Q, d, n)
+    if v == 0 or (2 * v1 - v) % n == 0:
         return True, D
     for _ in range(s2 - 1):
         v = (v * v - 2 * qk) % n

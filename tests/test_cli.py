@@ -75,6 +75,46 @@ def test_an_unwritable_out_exits_73_and_leaves_no_temporary_file(tmp_path, targe
     assert list(tmp_path.rglob("*.tmp")) == []
 
 
+@pytest.mark.parametrize("target", ["missing-directory", "file-as-directory",
+                                    "a-directory", "read-only-directory"])
+def test_an_unwritable_out_is_rejected_before_the_search(
+    tmp_path, monkeypatch, capsys, target
+):
+    def no_construct(*args):
+        raise AssertionError("the construction ran")
+
+    monkeypatch.setattr(cli, "construct", no_construct)
+    if target == "missing-directory":
+        out = tmp_path / "no" / "such" / "c.json"
+    elif target == "file-as-directory":
+        (tmp_path / "file").write_text("")
+        out = tmp_path / "file" / "c.json"
+    elif target == "a-directory":
+        out = tmp_path / "c.json"
+        out.mkdir()
+    else:
+        if os.geteuid() == 0:
+            pytest.skip("root may write into a read-only directory")
+        (tmp_path / "ro").mkdir(mode=0o500)
+        out = tmp_path / "ro" / "c.json"
+    assert run(["construct", "--prime", "53", "--out", str(out)]) == 73
+    assert capsys.readouterr().err.startswith(f"error: cannot write {out}: ")
+    assert not out.is_file()
+
+
+def test_a_write_that_fails_after_the_search_exits_73_without_a_temporary_file(
+    tmp_path, monkeypatch, capsys
+):
+    def refuse(src, dst):
+        raise PermissionError(13, "Permission denied")
+
+    monkeypatch.setattr(cli.os, "replace", refuse)
+    out = tmp_path / "c.json"
+    assert run(["construct", "--prime", "5", "--out", str(out)]) == 73
+    assert capsys.readouterr().err == f"error: cannot write {out}: Permission denied\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_verify_garbage_file(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("garbage{{{")

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from locyc.padic import (
     PadicInt,
     format_expansion,
-    from_int,
     from_rational,
     hensel_lift,
     sqrt,
@@ -76,8 +75,8 @@ def test_from_rational():
     assert from_rational(-1, 4, 5, 3).residue == 31  # 4*31 = 124 = -1 mod 125
     x = from_rational(-2, 3, 5, 2)
     assert 3 * x.residue % 25 == -2 % 25
-    assert from_rational(7, 1, 5, 3) == from_int(7, 5, 3)
-    assert from_int(-1, 5, 3).residue == 124
+    assert from_rational(7, 1, 5, 3) == PadicInt(5, 3, 7)
+    assert from_rational(-1, 1, 5, 3).residue == 124
 
 
 def test_from_rational_rejects_p_in_denominator():

@@ -1,5 +1,6 @@
 import ctypes
 import logging
+import math
 import multiprocessing
 import multiprocessing.pool
 import os
@@ -12,7 +13,8 @@ from pathlib import Path
 
 import pytest
 
-from locyc import modexp, prime_search
+from locyc import libcrypto, modexp, prime_search
+from locyc.padic import int_valuation
 from locyc.prime_search import (
     BudgetExhaustedError,
     PrimalityEvidence,
@@ -69,8 +71,8 @@ def test_is_prime_vs_sieve_sample():
 
 @pytest.fixture(params=["native", "builtin"])
 def modexp_path(request, monkeypatch):
-    """Run a test once through OpenSSL's BN_mod_exp and once through
-    builtin pow."""
+    """Run a test once through OpenSSL's arithmetic and once through
+    builtin ints."""
     if request.param == "native":
         if modexp.kernel() is None:
             pytest.skip("libcrypto is not available here")
@@ -95,7 +97,7 @@ def test_powmod_equals_pow(modexp_path, bits):
                 assert modexp.powmod(b, e, n) == pow(b, e, n), (b, e, n)
                 if modexp_path == "native":
                     # the kernel itself, also below the crossover
-                    assert modexp.kernel()(b, e, n) == pow(b, e, n), (b, e, n)
+                    assert modexp.kernel().powmod(b, e, n) == pow(b, e, n), (b, e, n)
 
 
 @pytest.mark.parametrize("exponent, lucas_d", [(523, 5), (1277, -7)])
@@ -110,6 +112,107 @@ def test_mersenne_base_2_pseudoprimes_are_composite(modexp_path, exponent, lucas
     assert (evidence.method, evidence.witnesses) == ("strong-lucas", (lucas_d,))
 
 
+def reference_lucas(D, d, n):
+    """(U_d, V_d, Q^d) mod n for P = 1 and Q = (1 - D)/4, d >= 1: the U/V
+    loop the strong Lucas test ran before the V ladder, halving mod n by
+    a shift."""
+    Q = (1 - D) // 4
+    u, v, qk = 1, 1, Q % n
+    for bit in bin(d)[3:]:
+        u, v = u * v % n, (v * v - 2 * qk) % n
+        qk = qk * qk % n
+        if bit == "1":
+            u, v = (u + v) % n, (D * u + v) % n
+            if u & 1:
+                u += n
+            if v & 1:
+                v += n
+            u >>= 1
+            v >>= 1
+            qk = qk * Q % n
+    return u, v, qk
+
+
+def reference_strong_lucas(n):
+    s = math.isqrt(n)
+    if s * s == n:
+        return False, 0
+    D = 5
+    while True:
+        j = prime_search._jacobi(D, n)
+        if j == -1:
+            break
+        if j == 0 and abs(D) != n:
+            return False, D
+        D = -D - 2 if D > 0 else -D + 2
+    s2 = int_valuation(n + 1, 2)
+    u, v, qk = reference_lucas(D, (n + 1) >> s2, n)
+    if u == 0 or v == 0:
+        return True, D
+    for _ in range(s2 - 1):
+        v = (v * v - 2 * qk) % n
+        if v == 0:
+            return True, D
+        qk = qk * qk % n
+    return False, D
+
+
+def lucas_corpus(part):
+    if part == "odd-below-20001":
+        return range(1, 20001, 2)
+    if part == "random":
+        # odd n at 5-1250 bits, on both sides of the native crossover
+        rng = random.Random(20001)
+        bits = [*range(5, 1251, 50), modexp.LUCAS_CROSSOVER_BITS - 1,
+                modexp.LUCAS_CROSSOVER_BITS]
+        return [rng.getrandbits(b) | 1 << (b - 1) | 1 for b in bits for _ in range(3)]
+    if part == "special":
+        pseudoprimes = [5459, 5777, 10877, 16109, 18971]  # strong Lucas
+        squares = [m * m for m in (3, 101, 2**89 - 1, 2**400 + 1)]
+        # 2^k - 1 has d = 1 and runs the whole s2 - 1 tail: every k
+        # below 128, then the prime k up to 1277
+        mersenne = [2**k - 1 for k in range(2, 1278)
+                    if k < 128 or is_prime(k).is_prime_enough()]
+        return pseudoprimes + squares + mersenne
+    raise ValueError(part)
+
+
+@pytest.mark.parametrize("part", ["odd-below-20001", "random", "special"])
+def test_strong_lucas_matches_the_reference(modexp_path, part):
+    native = modexp.kernel()
+    for n in lucas_corpus(part):
+        passed, D = prime_search._strong_lucas(n)
+        assert (passed, D) == reference_strong_lucas(n), n
+        if D == 0:
+            continue
+        # the chain against the U/V loop: V_d and Q^d agree, and
+        # 2 V_(d+1) - V_d = D U_d
+        d = (n + 1) >> int_valuation(n + 1, 2)
+        u, v, qk = reference_lucas(D, d, n)
+        chain = modexp.lucas_chain((1 - D) // 4, d, n)
+        assert chain[0] == v and chain[2] == qk and (2 * chain[1] - v - D * u) % n == 0, n
+        if modexp_path == "native":
+            # the native ladder itself, also below the crossover
+            assert native.lucas_chain((1 - D) // 4, d, n) == chain, n
+
+
+# above the native crossover: a prime, and an even n, which Montgomery
+# arithmetic cannot take
+@pytest.mark.parametrize("n", [2**1279 - 1, 2**1280 + 6], ids=["prime", "even"])
+def test_lucas_chain_follows_the_recurrence(modexp_path, n):
+    for Q in (-1, 0, 2, -3, 10**30, -(10**30)):
+        v = [2, 1]
+        for _ in range(11):
+            v.append(v[-1] - Q * v[-2])
+        for d in (0, 1, 2, 3, 10, 2**64 + 7):
+            chain = modexp.lucas_chain(Q, d, n)
+            if d <= 10:
+                assert chain == (v[d] % n, v[d + 1] % n, pow(Q, d, n)), (Q, d)
+            assert chain[2] == pow(Q, d, n), (Q, d)
+            # the ladder on d + 1 starts where this one ends
+            assert modexp.lucas_chain(Q, d + 1, n)[0] == chain[1], (Q, d)
+
+
 def test_kernel_is_unavailable_when_libcrypto_does_not_open(monkeypatch):
     tried = []
 
@@ -118,32 +221,40 @@ def test_kernel_is_unavailable_when_libcrypto_does_not_open(monkeypatch):
         raise OSError(f"{name}: cannot open shared object file")
 
     monkeypatch.setattr(ctypes, "CDLL", no_library)
-    assert modexp.open_kernel() is None
+    assert libcrypto.open_kernel() is None
     # versioned sonames only: no search for an unversioned library
     assert tried == ["libcrypto.so.3", "libcrypto.so.1.1"]
 
 
 def test_kernel_is_unavailable_when_a_symbol_is_missing(monkeypatch):
-    class NoModExp:
-        """A library that has every BN function but BN_mod_exp."""
+    for symbol in ("BN_mod_exp", "BN_MONT_CTX_new", "BN_MONT_CTX_set",
+                   "BN_MONT_CTX_free", "BN_to_montgomery", "BN_mod_mul_montgomery",
+                   "BN_mod_sub_quick", "BN_mod_lshift1_quick"):
 
-        def __getattr__(self, name):
-            if name == "BN_mod_exp":
-                raise AttributeError(name)
-            return ctypes.CFUNCTYPE(None)()
+        class Missing:
+            """A library that has every BN function but one."""
 
-    monkeypatch.setattr(ctypes, "CDLL", lambda name: NoModExp())
-    assert modexp.open_kernel() is None
+            def __getattr__(self, name):
+                if name == symbol:
+                    raise AttributeError(name)
+                return ctypes.CFUNCTYPE(None)()
+
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: Missing())
+        assert libcrypto.open_kernel() is None, symbol
 
 
 class FakeLibcrypto:
-    """OpenSSL's BN functions on Python ints.  The one named ``failing``
-    fails, BN_bin2bn on its second call; ``live`` holds what is still
-    allocated."""
+    """OpenSSL's BN functions on Python ints, Montgomery numbers with
+    R = 2^64.  The one named ``failing`` fails, BN_bin2bn and
+    BN_mod_mul_montgomery on their second call; ``live`` holds what is
+    still allocated."""
+
+    R = 2**64
 
     def __init__(self, failing=None):
         live = self.live = {}
         handles = iter(range(1, 100))
+        calls = []
 
         def alloc(value):
             handle = next(handles)
@@ -154,8 +265,15 @@ class FakeLibcrypto:
             if handle:  # freeing NULL does nothing
                 del live[handle]
 
+        def new(name, value):
+            return lambda: None if failing == name else alloc(value)
+
+        def second_call_fails(name):
+            calls.append(name)
+            return failing == name and calls.count(name) == 2
+
         def bin2bn(data, size, ret):
-            if failing == "BN_bin2bn" and len(live) > 1:
+            if second_call_fails("BN_bin2bn"):
                 return None
             return alloc(int.from_bytes(data[:size], "big"))
 
@@ -170,7 +288,32 @@ class FakeLibcrypto:
             ctypes.memmove(out, data, len(data))
             return len(data)
 
-        self.BN_CTX_new = lambda: None if failing == "BN_CTX_new" else alloc("ctx")
+        def mont_set(mont, n, ctx):
+            if failing == "BN_MONT_CTX_set":
+                return 0
+            live[mont] = live[n]
+            return 1
+
+        def to_mont(r, a, mont, ctx):
+            live[r] = live[a] * self.R % live[mont]
+            return 1
+
+        def mul_mont(r, a, b, mont, ctx):
+            if second_call_fails("BN_mod_mul_montgomery"):
+                return 0
+            n = live[mont]
+            live[r] = live[a] * live[b] * pow(self.R, -1, n) % n
+            return 1
+
+        def sub_quick(r, a, b, m):
+            live[r] = (live[a] - live[b]) % live[m]
+            return 1
+
+        def lshift1_quick(r, a, m):
+            live[r] = 2 * live[a] % live[m]
+            return 1
+
+        self.BN_CTX_new = new("BN_CTX_new", "ctx")
         self.BN_CTX_free = free
         self.BN_new = lambda: alloc(0)
         self.BN_bin2bn = bin2bn
@@ -178,6 +321,13 @@ class FakeLibcrypto:
         self.BN_num_bits = lambda bn: live[bn].bit_length()
         self.BN_bn2bin = bn2bin
         self.BN_free = free
+        self.BN_MONT_CTX_new = new("BN_MONT_CTX_new", "mont")
+        self.BN_MONT_CTX_set = mont_set
+        self.BN_MONT_CTX_free = free
+        self.BN_to_montgomery = to_mont
+        self.BN_mod_mul_montgomery = mul_mont
+        self.BN_mod_sub_quick = sub_quick
+        self.BN_mod_lshift1_quick = lshift1_quick
 
 
 @pytest.mark.parametrize(
@@ -187,12 +337,30 @@ class FakeLibcrypto:
 )
 def test_kernel_raises_on_a_failed_call_and_frees_everything(failing, error):
     lib = FakeLibcrypto(failing)
-    native = modexp._BnModExp(lib)
+    native = libcrypto.Libcrypto(lib)
     if error is None:
-        assert native(3, 5, 7) == pow(3, 5, 7)
+        assert native.powmod(3, 5, 7) == pow(3, 5, 7)
     else:
         with pytest.raises(error):
-            native(3, 5, 7)
+            native.powmod(3, 5, 7)
+    assert lib.live == {}
+
+
+@pytest.mark.parametrize(
+    "failing, error",
+    [(None, None), ("BN_CTX_new", MemoryError), ("BN_MONT_CTX_new", MemoryError),
+     ("BN_bin2bn", MemoryError), ("BN_MONT_CTX_set", ArithmeticError),
+     ("BN_mod_mul_montgomery", ArithmeticError)],
+)
+def test_lucas_chain_raises_on_a_failed_call_and_frees_everything(failing, error):
+    lib = FakeLibcrypto(failing)
+    native = libcrypto.Libcrypto(lib)
+    n, Q, d = 10007, 2, 5003
+    if error is None:
+        assert native.lucas_chain(Q, d, n) == modexp._lucas_chain(Q, d, n)
+    else:
+        with pytest.raises(error):
+            native.lucas_chain(Q, d, n)
     assert lib.live == {}
 
 
