@@ -73,12 +73,12 @@ def build_parser() -> _Parser:
 
     c = sub.add_parser("construct", help="search for a curve and emit its certificate")
     c.add_argument("--prime", type=int, required=True)
-    c.add_argument("--seed", type=int, default=1)
-    c.add_argument("--budget", type=int, default=200000, help="max primality tests")
+    c.add_argument("--seed", type=int, default=SearchConfig.seed)
+    c.add_argument("--budget", type=int, default=SearchConfig.budget, help="max primality tests")
     c.add_argument("--out", default=None, help="certificate path (default certificate-p<P>.json)")
-    c.add_argument("--workers", type=int, default=1)
-    c.add_argument("--d-range", type=int, default=512)
-    c.add_argument("--x-window", type=int, default=4096)
+    c.add_argument("--workers", type=int, default=SearchConfig.worker_count)
+    c.add_argument("--d-range", type=int, default=SearchConfig.d_range)
+    c.add_argument("--x-window", type=int, default=SearchConfig.x_window)
     c.add_argument("-v", "--verbose", action="store_true")
 
     v = sub.add_parser("verify", help="re-run every check of a certificate file")

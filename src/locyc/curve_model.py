@@ -1,16 +1,16 @@
 """Integral Weierstrass models with exact integer arithmetic.
 
 Long form y^2 + a1*xy + a3*y = x^3 + a2*x^2 + a4*x + a6 with integer
-coefficients.  Standard b/c-invariants and discriminant, changes of
-variables over Z, the minimality-shortcut reduction-type classifier, and
-naive point counting over small prime fields.  The j-invariant is the
-only rational; no floating point anywhere.
+coefficients.  Standard b/c-invariants and discriminant, the split model
+and its shift to an odd discriminant at 2, the minimality-shortcut
+reduction-type classifier, and naive point counting over small prime
+fields.  Coefficients and invariants are integers; no floating point
+anywhere.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .padic import int_valuation
 
@@ -57,51 +57,23 @@ class CurveModel:
         b2, b4, b6, b8 = self.b_invariants()
         return -(b2 * b2 * b8) - 8 * b4**3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
 
-    def invariants(self):
-        """(b2, b4, b6, b8, c4, c6, delta, j); j is a Fraction."""
-        b2, b4, b6, b8 = self.b_invariants()
-        c4, c6 = self.c_invariants()
-        delta = self.discriminant()
-        return b2, b4, b6, b8, c4, c6, delta, Fraction(c4**3, delta)
-
 
 def split_model(a: int, b: int, c: int) -> CurveModel:
     """y^2 = (x - a)(x - b)(x - c)."""
     return CurveModel(0, -(a + b + c), 0, a * b + b * c + c * a, -(a * b * c))
 
 
-def transform(model: CurveModel, u: int, r: int, s: int, t: int) -> CurveModel:
-    """Change of variables x = u^2 x' + r, y = u^3 y' + u^2 s x' + t over Z.
-
-    delta scales by u^-12, c4 by u^-4; j is untouched.  Raises
-    ArithmeticError when a new coefficient is not an integer.
-    """
-    if u == 0:
-        raise ValueError("u must be nonzero")
-    a1, a2, a3, a4, a6 = model.a1, model.a2, model.a3, model.a4, model.a6
-    numerators = (
-        a1 + 2 * s,
-        a2 - s * a1 + 3 * r - s * s,
-        a3 + r * a1 + 2 * t,
-        a4 - s * a3 + 2 * r * a2 - (t + r * s) * a1 + 3 * r * r - 2 * s * t,
-        a6 + r * a4 + r * r * a2 + r**3 - t * a3 - t * t - r * t * a1,
-    )
-    coefficients = []
-    for name, num, weight in zip(("a1", "a2", "a3", "a4", "a6"), numerators, (1, 2, 3, 4, 6)):
-        quotient, remainder = divmod(num, u**weight)
-        if remainder:
-            raise ArithmeticError(f"{name} came out non-integral")
-        coefficients.append(quotient)
-    return CurveModel(*coefficients)
-
-
 def two_model(a0: int, b0: int, c0: int) -> CurveModel:
     """Integral model with odd discriminant for roots in the residue
     classes 0, 1, 17 mod 64.
 
-    Applies x = 4x' + 1, y = 8y' + 4x' to y^2 = (x-a0)(x-b0)(x-c0); the
-    result is integral and its discriminant is odd, so reduction at 2 is
-    good.
+    Applies x = 4x' + 1, y = 8y' + 4x' to y^2 = (x-a0)(x-b0)(x-c0), which
+    scales delta by 2^-12 and c4 by 2^-4 and leaves j alone.  With
+    s1 = a0 + b0 + c0 and s2 = a0 b0 + b0 c0 + c0 a0 the result is
+    y^2 + xy = x^3 + a2 x^2 + a4 x + a6 with a2 = (2 - s1)/4,
+    a4 = (s2 - 2 s1 + 3)/16 and a6 = (1 - a0)(1 - b0)(1 - c0)/64; the
+    residue classes make those divisions exact and the discriminant odd,
+    so reduction at 2 is good.
     """
     if a0 % 64 != 0:
         raise ValueError(f"a0 must be 0 mod 64, got {a0 % 64}")
@@ -109,7 +81,14 @@ def two_model(a0: int, b0: int, c0: int) -> CurveModel:
         raise ValueError(f"b0 must be 1 mod 64, got {b0 % 64}")
     if c0 % 64 != 17:
         raise ValueError(f"c0 must be 17 mod 64, got {c0 % 64}")
-    m = transform(split_model(a0, b0, c0), 2, 1, 1, 0)
+    s1 = a0 + b0 + c0
+    s2 = a0 * b0 + b0 * c0 + c0 * a0
+    a2, r2 = divmod(2 - s1, 4)
+    a4, r4 = divmod(s2 - 2 * s1 + 3, 16)
+    a6, r6 = divmod((1 - a0) * (1 - b0) * (1 - c0), 64)
+    if r2 or r4 or r6:
+        raise ArithmeticError("shifted model came out non-integral")
+    m = CurveModel(1, a2, 0, a4, a6)
     if m.discriminant() % 2 == 0:
         raise ArithmeticError("discriminant unexpectedly even")
     return m
@@ -117,7 +96,6 @@ def two_model(a0: int, b0: int, c0: int) -> CurveModel:
 
 @dataclass(frozen=True)
 class ReductionType:
-    prime: int
     kind: str  # good | multiplicative | additive-or-undetermined
     v_delta_min: int
     v_c4: object  # int or math.inf when c4 = 0
@@ -136,14 +114,14 @@ def reduction_type(model: CurveModel, prime: int) -> ReductionType:
     v_c4 = int_valuation(c4, prime)
     minimal = v_c4 < 4 or v_delta < 12
     if not minimal:
-        return ReductionType(prime, "additive-or-undetermined", v_delta, v_c4)
+        return ReductionType("additive-or-undetermined", v_delta, v_c4)
     if v_delta == 0:
         kind = "good"
     elif v_c4 == 0:
         kind = "multiplicative"
     else:
         kind = "additive-or-undetermined"
-    return ReductionType(prime, kind, v_delta, v_c4)
+    return ReductionType(kind, v_delta, v_c4)
 
 
 def count_points_mod_ell(model: CurveModel, ell: int) -> int:

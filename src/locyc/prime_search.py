@@ -28,9 +28,10 @@ Only where a hit can be does the search run Miller-Rabin:
   Q2(Y) first, through a per-search memo indexed by Y: as Y runs over
   the same range for every d, each Q2 value is screened at most once
   per search (per worker).  Only a survivor whose Q2 passed is screened
-  on Q1.  When both pass, ``is_prime`` runs on Q1 and then Q2; a Q2
-  that it finds composite is remembered, so no later window screens or
-  tests that survivor's Q1 again.  Once a window has its hit,
+  on Q1.  When both pass, ``is_prime`` runs on Q1 and then Q2.  The
+  memo holds the screen's verdict alone: a Q2 that passes the screen
+  and then fails ``is_prime`` (a base-2 strong pseudoprime) is tested
+  again in any later window whose Q1 passes.  Once a window has its hit,
   ``is_prime`` runs on Q3, and if it rejects Q3 the d counts as one
   whose Q3 is not prime.  A prime passes the screen, and the hit is the
   first X at which the conjunction holds, so the hit is the one that
@@ -375,8 +376,10 @@ class SieveTables:
     ``_root_tables``); primes dividing the coefficients are left out.
     The window of d is X in [d, d + x_window), so Y = X - d runs over
     [0, x_window) for every d: q2_marks holds Q2 sieved there once, and
-    q2_screen[Y] what is known of Q2(Y) in this process so far (one of
-    the ``_Q2_*`` states; only ``_probe_d`` writes it).
+    q2_screen[Y] the base-2 screen's verdict on Q2(Y) in this process so
+    far: ``_Q2_UNKNOWN`` until a survivor first screens it, then
+    ``_Q2_FAILED`` or ``_Q2_PASSED`` for good (only ``_probe_d`` writes
+    it).
     """
 
     def __init__(self, forms: LinearFormTriple, bound: int, x_window: int):
@@ -413,9 +416,8 @@ def _passes_screen(n: int) -> bool:
 
 
 # states of SieveTables.q2_screen[y]: Q2(y) not screened yet, failed the
-# screen, passed it, or passed it and is_prime found it composite (a
-# base-2 strong pseudoprime, which still counts as a screen pass)
-_Q2_UNKNOWN, _Q2_FAILED, _Q2_PASSED, _Q2_COMPOSITE = range(4)
+# screen, or passed it
+_Q2_UNKNOWN, _Q2_FAILED, _Q2_PASSED = range(3)
 
 # (q3_was_prime, hit, tests, survivors) of a d whose Q3 is not prime; the
 # one test is the sieve's, the screen's or is_prime's
@@ -454,8 +456,6 @@ def _probe_d(tables: SieveTables, d: int):
         if state == _Q2_FAILED:
             continue
         tests += 1
-        if state == _Q2_COMPOSITE:
-            continue
         x = d + y
         q1 = forms.q1_at(x)
         if not _passes_screen(q1):
@@ -466,7 +466,6 @@ def _probe_d(tables: SieveTables, d: int):
             continue
         q2_evidence = is_prime(forms.q2_at(y))
         if not q2_evidence.is_prime_enough():
-            q2_screen[y] = _Q2_COMPOSITE
             continue
         q3_evidence = is_prime(q3)
         if not q3_evidence.is_prime_enough():

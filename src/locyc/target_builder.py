@@ -37,10 +37,6 @@ class CongruenceTarget:
     a0_residue: int  # = 0 mod 64,  = xpp1 mod p^r
     q3_constant: int  # (s1 - s2) / (16 p^p)
 
-    @property
-    def modulus(self) -> int:
-        return 64 * self.p**self.r
-
 
 @dataclass(frozen=True)
 class LinearFormTriple:

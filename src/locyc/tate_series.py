@@ -107,9 +107,6 @@ class TateBundle:
     precision: int
     a4: PadicInt
     a6: PadicInt
-    x1: PadicInt
-    x2: PadicInt
-    x3: PadicInt
     xpp1: PadicInt  # normalized 2-torsion x-coords: (36*x + 3)/9
     xpp2: PadicInt
     xpp3: PadicInt
@@ -129,13 +126,10 @@ def build_bundle(p: int, precision: int | None = None) -> TateBundle:
         raise ValueError("p must be at least 5")
     r = 4 * p + 1 if precision is None else precision
     a4, a6 = tate_a_invariants(p, r)
-    x1 = two_torsion_x(p, 1, r)
-    x2 = two_torsion_x(p, 2, r)
-    x3 = two_torsion_x(p, 3, r)
     third = from_rational(1, 3, p, r)
-    xpp1 = x1 * 4 + third
-    xpp2 = x2 * 4 + third
-    xpp3 = x3 * 4 + third
+    xpp1 = two_torsion_x(p, 1, r) * 4 + third
+    xpp2 = two_torsion_x(p, 2, r) * 4 + third
+    xpp3 = two_torsion_x(p, 3, r) * 4 + third
     inv8 = from_rational(1, 8, p, r)
     inv16 = from_rational(1, 16, p, r)
     one = from_rational(1, 1, p, r)
@@ -147,9 +141,6 @@ def build_bundle(p: int, precision: int | None = None) -> TateBundle:
         precision=r,
         a4=a4,
         a6=a6,
-        x1=x1,
-        x2=x2,
-        x3=x3,
         xpp1=xpp1,
         xpp2=xpp2,
         xpp3=xpp3,

@@ -10,6 +10,7 @@ import pytest
 
 from locyc import cli, modexp
 from locyc.certificate import emit, parse
+from locyc.prime_search import SearchConfig
 from dataclasses import replace
 
 
@@ -188,6 +189,23 @@ def test_certificate_file_is_versioned_json(tmp_path):
     assert isinstance(doc["q1"], str)
     parsed = parse(out.read_text())
     assert parsed.p == 5
+
+
+def test_construct_defaults_are_the_search_config_defaults(tmp_path, monkeypatch):
+    class Stop(Exception):
+        pass
+
+    configs = []
+
+    def recording(p, config):
+        configs.append(config)
+        raise Stop
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "construct", recording)
+    with pytest.raises(Stop):
+        run(["construct", "--prime", "5"])
+    assert configs == [SearchConfig()]
 
 
 @pytest.mark.parametrize(

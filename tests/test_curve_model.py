@@ -10,16 +10,22 @@ from locyc.curve_model import (
     count_points_mod_ell,
     reduction_type,
     split_model,
-    transform,
     two_model,
 )
+
+
+def j_invariant(m):
+    c4, _ = m.c_invariants()
+    return Fraction(c4**3, m.discriminant())
 
 
 def test_known_curve_vector():
     # y^2 = x(x-1)(x-17): conductor-17 curve with full rational 2-torsion
     m = split_model(0, 1, 17)
     assert m.discriminant() == 1183744 == 16 * 1 * 256 * 289
-    assert m.invariants()[-1] == Fraction(20346417, 289)
+    assert j_invariant(m) == Fraction(20346417, 289)
+    # x = 4x' + 1, y = 8y' + 4x' gives y^2 + xy = x^3 - 4x^2 - x
+    assert two_model(0, 1, 17) == CurveModel(1, -4, 0, -1, 0)
 
 
 def test_constructor_rejects_singular():
@@ -40,28 +46,6 @@ def test_reduced_c4_equals_prime_difference_expression(cert5):
     # on a constructed certificate, c4/16 = q1^2 - 16 p^p q2 q3
     c4, _ = split_model(cert5.a0, cert5.b0, cert5.c0).c_invariants()
     assert c4 == 16 * (cert5.q1**2 - 16 * 5**5 * cert5.q2 * cert5.q3)
-
-
-def test_transform_identity():
-    m = split_model(0, 1, 17)
-    assert transform(m, 1, 0, 0, 0) == m
-
-
-def test_transform_known_change():
-    # x = 4x' + 1, y = 8y' + 4x' is (u, r, s, t) = (2, 1, 1, 0)
-    m = split_model(0, 1, 17)
-    t = transform(m, 2, 1, 1, 0)
-    assert t.discriminant() == 1183744 // 2**12 == 289
-    assert t.invariants()[-1] == m.invariants()[-1]
-
-
-def test_transform_scaling_laws():
-    m = split_model(0, 1, 17)
-    for u, r, s, t in [(-1, 3, -2, 5), (2, 1, 1, 0)]:
-        n = transform(m, u, r, s, t)
-        assert n.discriminant() * u**12 == m.discriminant()
-        assert n.c_invariants()[0] * u**4 == m.c_invariants()[0]
-        assert n.invariants()[-1] == m.invariants()[-1]
 
 
 def test_two_model_examples():
@@ -94,6 +78,23 @@ def test_two_model_matches_expanded_coefficient_polynomials():
         )
 
 
+def assert_two_model_scaling(a0, b0, c0):
+    # the shift x = 4x' + 1, y = 8y' + 4x' (u = 2) scales delta by 2^-12
+    # and c4 by 2^-4 and keeps j, so every odd prime sees the same
+    # reduction on both models
+    split, shifted = split_model(a0, b0, c0), two_model(a0, b0, c0)
+    assert shifted.discriminant() * 2**12 == split.discriminant()
+    assert shifted.c_invariants()[0] * 2**4 == split.c_invariants()[0]
+    assert j_invariant(shifted) == j_invariant(split)
+
+
+def test_two_model_scales_delta_and_c4_and_keeps_j(cert5, cert7):
+    for t1, t2, t3 in [(0, 0, 0), (1, 1, 1), (3, -2, 7), (-5, 11, 4)]:
+        assert_two_model_scaling(64 * t1, 1 + 64 * t2, 17 + 64 * t3)
+    for cert in (cert5, cert7):
+        assert_two_model_scaling(cert.a0, cert.b0, cert.c0)
+
+
 def test_reduction_types():
     assert reduction_type(two_model(0, 1, 17), 2).kind == "good"
     rt = reduction_type(split_model(0, 1, 17), 17)
@@ -115,9 +116,6 @@ def test_reduction_type_undetermined_without_minimality():
 def test_models_require_integer_coefficients():
     with pytest.raises(ValueError, match="a4 must be an int"):
         CurveModel(0, 0, 0, Fraction(1, 5), 1)
-    # x = 4x' on y^2 = x(x-1)(x-17) leaves a2 = -18/4
-    with pytest.raises(ArithmeticError, match="a2 came out non-integral"):
-        transform(split_model(0, 1, 17), 2, 0, 0, 0)
 
 
 def test_count_points_mod_3_exhaustive_oracle():
@@ -158,9 +156,8 @@ def test_c_invariant_identity(a1, a2, a3, a4, a6):
         m = CurveModel(a1, a2, a3, a4, a6)
     except ValueError:
         return
-    _, _, _, _, c4, c6, delta, j = m.invariants()
-    assert c4**3 - c6**2 == 1728 * delta
-    assert j == Fraction(c4**3, delta)
+    c4, c6 = m.c_invariants()
+    assert c4**3 - c6**2 == 1728 * m.discriminant()
 
 
 @given(small, small, small)

@@ -566,7 +566,9 @@ def test_each_q2_value_is_screened_at_most_once_per_search(target5, monkeypatch)
     assert info.value.stats.survivors_tested > len(screened)
 
 
-def test_a_q2_that_is_prime_rejects_is_not_tested_again(target5, monkeypatch):
+def test_a_q2_that_is_prime_rejects_counts_the_same_for_every_worker_count(
+    target5, monkeypatch
+):
     # is_prime calls every Q2 composite, as if each were a base-2 strong
     # pseudoprime, so the search has no hit
     forms = linear_forms(target5)
@@ -595,15 +597,15 @@ def test_a_q2_that_is_prime_rejects_is_not_tested_again(target5, monkeypatch):
     passes = q2_screen_passes(forms, survivors)
     assert stats[0] == stats[1] == stats[2]
     assert stats[0][2:] == (len(survivors), config.d_range + len(survivors) + passes)
-    # without the memo, is_prime would see a Q2 once per survivor whose
-    # Q2 passes the screen and whose Q1 is prime
-    without_memo = sum(
+    # the memo keeps only the screen's verdict, so is_prime sees a Q2
+    # once per survivor whose Q2 passes the screen and whose Q1 is prime
+    q1_prime = sum(
         1
         for d, y in survivors
         if _strong_probable_prime(forms.q2_at(y), 2)
         and is_prime(forms.q1_at(d + y)).is_prime_enough()
     )
-    assert 0 < len(one_worker_rejected) == len(set(one_worker_rejected)) < without_memo
+    assert len(one_worker_rejected) == q1_prime > len(set(one_worker_rejected)) > 0
 
 
 def test_is_prime_sees_only_the_hit_windows_q3(target5, monkeypatch, caplog):
