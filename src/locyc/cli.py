@@ -7,6 +7,7 @@ Exit codes are the machine contract:
   3   internal invariant failure
   64  usage error
   65  certificate parse error
+  71  out of memory (for instance a huge --x-window or --d-range)
   73  the certificate file cannot be written
 """
 
@@ -44,6 +45,7 @@ log = logging.getLogger("locyc")
 
 EX_USAGE = 64
 EX_DATAERR = 65
+EX_OSERR = 71
 EX_CANTCREAT = 73
 
 
@@ -263,6 +265,9 @@ def main(argv=None) -> int:
     except (ValueError, ArithmeticError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return EX_OSERR
     raise AssertionError("unreachable")
 
 

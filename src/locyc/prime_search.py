@@ -81,7 +81,7 @@ test, plus one more when its Q2 passes the screen.  A test that the
 memo answers still counts, so the counters do not depend on the memo's
 state or on the worker count.  No d is examined once the budget is
 spent.  The default sieve bound grows with the bit size of the window
-forms (``default_sieve_bound``).
+forms and with the window, up to 16384 (``default_sieve_bound``).
 """
 
 from __future__ import annotations
@@ -253,7 +253,7 @@ class SearchConfig:
     seed: int = 1
     d_range: int = 512
     x_window: int = 4096
-    sieve_bound: int | None = None  # None: default_sieve_bound(forms)
+    sieve_bound: int | None = None  # None: default_sieve_bound(forms, x_window)
     budget: int = 200000
     worker_count: int = 1
 
@@ -288,32 +288,37 @@ class BudgetExhaustedError(RuntimeError):
         self.stats = stats
 
 
-_MIN_SIEVE_BOUND = 30000
+_LADDER_WINDOW = 16384
 
 
-def default_sieve_bound(forms: LinearFormTriple) -> int:
-    """Sieve bound for the forms: b^2 / 4 for b-bit window coefficients,
-    and at least 30000.
+def default_sieve_bound(forms: LinearFormTriple, x_window: int) -> int:
+    """Sieve bound for the forms and window: b^2 / 4 for b-bit window
+    coefficients at a window of 16384, scaled down with narrower windows,
+    and at least the trial-division bound.
 
     The classical rule: sieve on while crossing off one more candidate
     costs less than the modular exponentiation it saves.  A b-bit
     strong-probable-prime test costs about b squarings of b-bit numbers,
     about b^3 bit operations; finding a candidate that ell divides takes
     about ell divisions of a b-bit number, about ell * b bit operations.
-    So the break-even prime grows like b^2.  The factor 1/4 was measured
-    on the construct ladder p = 41..53 (b^2/8 and b^2 were both slower).
-    The floor is the earlier fixed bound; it holds for p <= 19.
+    So the break-even prime grows like b^2.  Each prime also costs one
+    step per window and crosses off about W / ell of its W candidates,
+    so the bound scales with the window W: b^2 / 4 was measured best at
+    W = 16384 (p = 41..53) and b^2 / 16 at the default 4096.  Wider
+    windows keep b^2 / 4, since b^2 was slower at 65536; so no window
+    grows the table past it.
     """
     bits = forms.q12_coefficient.bit_length()
-    return max(_MIN_SIEVE_BOUND, bits * bits // 4)
+    window = min(x_window, _LADDER_WINDOW)
+    return max(_TRIAL_BOUND, bits * bits * window // (4 * _LADDER_WINDOW))
 
 
 def with_sieve_bound(config: SearchConfig, forms: LinearFormTriple) -> SearchConfig:
     """The config with its sieve bound set: the given one, or else the
-    forms' default."""
+    default for the forms and the config's window."""
     if config.sieve_bound is not None:
         return config
-    return replace(config, sieve_bound=default_sieve_bound(forms))
+    return replace(config, sieve_bound=default_sieve_bound(forms, config.x_window))
 
 
 def _root_tables(forms: LinearFormTriple, bound: int) -> tuple[array, ...]:

@@ -214,7 +214,8 @@ def test_construct_defaults_are_the_search_config_defaults(tmp_path, monkeypatch
         ("--x-window", "0"),
         ("--d-range", "-5"),
         ("--workers", "-3"),
-        # no longer a flag: the bound is always default_sieve_bound(forms)
+        # no longer a flag: the bound is always
+        # default_sieve_bound(forms, x_window)
         ("--sieve-bound", "30000"),
     ],
 )
@@ -226,6 +227,20 @@ def test_search_flags_below_their_least_value_are_usage_errors(
     assert code == 64
     err = capsys.readouterr().err
     assert "usage error" in err and flag in err
+    assert not out.exists()
+
+
+def test_out_of_memory_exits_71_with_one_line(tmp_path, monkeypatch, capsys):
+    def exhausted(p, config):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "construct", exhausted)
+    out = tmp_path / "never.json"
+    code = run(["construct", "--prime", "5", "--x-window", "4000000000",
+                "--out", str(out)])
+    assert code == 71
+    err = capsys.readouterr().err
+    assert err == "error: out of memory\n"
     assert not out.exists()
 
 

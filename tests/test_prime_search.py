@@ -654,13 +654,19 @@ def test_a_hit_whose_q3_is_prime_rejects_counts_as_a_composite_q3(
     assert probed[d_hit] == prime_search._Q3_NOT_PRIME
 
 
+def old_rule_bound(forms):
+    """The sieve bound of the earlier rule, max(30000, b^2/4)."""
+    bits = forms.q12_coefficient.bit_length()
+    return max(30000, bits * bits // 4)
+
+
 @pytest.mark.parametrize("p", [5, 7])
 def test_search_finds_the_reference_hit(p):
     target = build_targets(build_bundle(p))
     forms = linear_forms(target)
     for seed in range(1, 6):
         expected = reference_search(forms, SearchConfig(seed=seed))
-        for bound in (30, 1000, None):
+        for bound in (30, 1000, old_rule_bound(forms), None):
             for workers in (1, 2):
                 config = SearchConfig(
                     seed=seed, sieve_bound=bound, worker_count=workers
@@ -670,6 +676,15 @@ def test_search_finds_the_reference_hit(p):
                         search(forms, target, config)
                 else:
                     assert search(forms, target, config) == expected, (seed, bound)
+
+
+def test_search_hit_at_p13_does_not_depend_on_the_sieve_bound():
+    target = build_targets(build_bundle(13))
+    forms = linear_forms(target)
+    for seed in (1, 2, 3):
+        config = SearchConfig(seed=seed)
+        old = replace(config, sieve_bound=old_rule_bound(forms))
+        assert search(forms, target, old) == search(forms, target, config), seed
 
 
 def test_pool_examines_the_whole_d_range_like_one_worker(target5):
@@ -762,12 +777,18 @@ def test_tiny_budgets_stop_alike_for_every_worker_count(target5):
 
 
 def test_default_sieve_bound_grows_with_bit_size(target5):
-    assert default_sieve_bound(linear_forms(target5)) == 30000
     wide = LinearFormTriple(
         p=5, q1_constant=1, q2_constant=1, q3_constant=1,
         q12_coefficient=2**999, q3_coefficient=4,
     )
-    assert default_sieve_bound(wide) == 1000 * 1000 // 4
+    # b^2/16 at the default window, b^2/4 at the ladder's
+    assert default_sieve_bound(wide, 4096) == 1000 * 1000 // 16
+    assert default_sieve_bound(wide, 16384) == 1000 * 1000 // 4
+    # no window grows the table past b^2/4
+    assert default_sieve_bound(wide, 10**9) == default_sieve_bound(wide, 16384)
+    # p = 5's 55-bit coefficient gives 189 at 4096: the trial bound holds
+    forms5 = linear_forms(target5)
+    assert default_sieve_bound(forms5, 4096) == prime_search._TRIAL_BOUND
 
 
 def test_search_reproducible_and_valid(target5):
