@@ -38,9 +38,11 @@ import math
 import re
 from dataclasses import dataclass, field, replace
 
-from . import curve_model, tate_series
+from . import __version__, curve_model, tate_series
 from .padic import from_rational, hensel_lift
-from .prime_search import VERDICTS, PrimalityEvidence, _small_primes, is_prime
+from .prime_search import (
+    _TRIAL_BOUND, _TRIAL_PRIMES, VERDICTS, PrimalityEvidence, is_prime,
+)
 from .target_builder import assemble_curve
 
 FORMAT_VERSION = 1
@@ -262,12 +264,12 @@ def _c10(cert: Certificate):
     return ok, f"tau = 2p, j = 4p+1, lifted root = p mod p^(2p+1): {ok}"
 
 
-def _c11(cert: Certificate, ell_bound: int = 1000):
+def _c11(cert: Certificate):
     if len({cert.a0, cert.b0, cert.c0}) != 3:
         return False, "roots are not distinct"
     split = curve_model.split_model(cert.a0, cert.b0, cert.c0)
     delta = split.discriminant()
-    for ell in _small_primes(ell_bound):
+    for ell in _TRIAL_PRIMES:
         if ell == 2 or ell == cert.p or delta % ell == 0:
             continue
         n = curve_model.count_points_mod_ell(split, ell)
@@ -278,7 +280,7 @@ def _c11(cert: Certificate, ell_bound: int = 1000):
                 f"full rational 2-torsion; #E(F_{ell}) = {n} is not 0 mod p, "
                 "so no rational p-torsion"
             )
-    return False, f"no good prime below {ell_bound} ruled out p-torsion"
+    return False, f"no good prime below {_TRIAL_BOUND} ruled out p-torsion"
 
 
 def _c12(cert: Certificate, earlier: dict):
@@ -485,7 +487,7 @@ def build_certificate(
     """Assemble an unverified certificate from pipeline pieces."""
     a0, b0, c0, q1, q2, q3 = assemble_curve(target, x0, y0)
     r = target.r
-    metadata = {"tool": "locyc 0.1.0"}
+    metadata = {"tool": f"locyc {__version__}"}
     if seed is not None:
         metadata["seed"] = str(seed)
     return Certificate(

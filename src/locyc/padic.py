@@ -14,6 +14,7 @@ restricted to even-valuation inputs, so every result stays inside Z_p.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -56,37 +57,27 @@ class PadicInt:
             return PadicInt(self.prime, self.precision, other % self.modulus)
         return NotImplemented
 
-    def __add__(self, other):
+    def _combine(self, other, op):
+        """self op other at the lesser of the two precisions."""
         o = self._coerce(other)
         if o is NotImplemented:
             return o
         n = min(self.precision, o.precision)
-        m = self.prime**n
-        return PadicInt(self.prime, n, (self.residue + o.residue) % m)
+        return PadicInt(self.prime, n, op(self.residue, o.residue) % self.prime**n)
+
+    def __add__(self, other):
+        return self._combine(other, operator.add)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        n = min(self.precision, o.precision)
-        m = self.prime**n
-        return PadicInt(self.prime, n, (self.residue - o.residue) % m)
+        return self._combine(other, operator.sub)
 
     def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return o - self
+        return self._combine(other, lambda a, b: b - a)
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        n = min(self.precision, o.precision)
-        m = self.prime**n
-        return PadicInt(self.prime, n, (self.residue * o.residue) % m)
+        return self._combine(other, operator.mul)
 
     __rmul__ = __mul__
 
@@ -192,9 +183,11 @@ def sqrt(a: PadicInt, seed_mod_p: int) -> PadicInt:
     """Square root picking the branch congruent to the seed.
 
     The input must have even valuation 2m; the seed is a residue mod p
-    with seed^2 congruent to the unit part of the input mod p.  The
-    result has precision N - m: the shift by p^m eats m digits.
-    Requires odd p (the Newton step divides by 2).
+    with seed^2 congruent to the unit part u of the input mod p.  The
+    simple root of t^2 - u in the seed's class is lifted by
+    ``hensel_lift``.  The result has precision N - m: the shift by p^m
+    eats m digits.  Requires odd p: at p = 2 the derivative 2t is never
+    a unit, so the lift's tau = 0 precondition cannot hold.
     """
     p = a.prime
     if p == 2:
@@ -208,8 +201,7 @@ def sqrt(a: PadicInt, seed_mod_p: int) -> PadicInt:
     n_unit = a.precision - v
     if n_unit < 1:
         raise PrecisionError("no unit digits left after removing p^v")
-    mod = p**n_unit
-    u = (a.residue // p**v) % mod
+    u = (a.residue // p**v) % p**n_unit
     seed = seed_mod_p % p
     if (seed * seed - u) % p != 0:
         if pow(u, (p - 1) // 2, p) != 1:
@@ -217,17 +209,9 @@ def sqrt(a: PadicInt, seed_mod_p: int) -> PadicInt:
         raise ValueError(
             f"seed {seed} does not match the unit part mod {p}"
         )
-    # Newton for t^2 = u; each pass at least doubles the correct digits.
-    inv2 = pow(2, -1, mod)
-    x = seed
-    for _ in range(n_unit.bit_length() + 2):
-        if (x * x - u) % mod == 0:
-            break
-        x = (x + u * pow(x, -1, mod)) * inv2 % mod
-    else:
-        raise ArithmeticError("square-root iteration failed to converge")
+    t = hensel_lift([-u, 0, 1], seed, p, j=1, tau=0, precision=n_unit)
     out_prec = a.precision - m
-    return PadicInt(p, out_prec, (x * p**m) % p**out_prec)
+    return PadicInt(p, out_prec, (t.residue * p**m) % p**out_prec)
 
 
 def _poly_eval_mod(coeffs: Sequence[int], x: int, m: int) -> int:

@@ -45,7 +45,6 @@ class LinearFormTriple:
     Q1 depends on X alone, Q2 on Y alone, Q3 on X - Y.
     """
 
-    p: int
     q1_constant: int
     q2_constant: int
     q3_constant: int
@@ -102,7 +101,6 @@ def build_targets(bundle: TateBundle) -> CongruenceTarget:
 def linear_forms(target: CongruenceTarget) -> LinearFormTriple:
     p, r = target.p, target.r
     forms = LinearFormTriple(
-        p=p,
         q1_constant=target.s1,
         q2_constant=target.s2,
         q3_constant=target.q3_constant,

@@ -10,10 +10,13 @@ rely on are:
 * s_1(q) = sum_{n>=1} n q^n/(1-q^n) = sum_{n>=1} h(q^n)  (Lambert series
   rearrangement), which turns the coordinate series X(u, q) into
       X(u, q) = sum_{n in Z} h(u q^n) - 2 sum_{n>=1} h(q^n).
-* For u = -1:        X = -1/4 - 2 sum_{n>=1} [ q^n/(1+q^n)^2 + q^n/(1-q^n)^2 ],
+* For u = -1:        X = -1/4 - 2 sum_{n>=1} [ h(q^n) - h(-q^n) ],
   with the n-th summand of valuation >= 2pn.
 * For u = w or -w:   X = 2 sum_{m>=1} (-1)^(m-1) h(u^m) where u = +-w,
   with the m-th summand of valuation >= pm.
+
+So all three 2-torsion series are sums of h at +-p^k, and
+``two_torsion_x`` evaluates each of them through the one helper ``_h``.
 
 The truncation loops run until those lower bounds exceed the requested
 precision, so every computed digit is certified.  Each term n^k
@@ -81,10 +84,7 @@ def two_torsion_x(p: int, which: int, precision: int) -> PadicInt:
         n = 1
         while 2 * p * n <= precision:
             qn = pow(p, 2 * p * n, mod)
-            t = qn * pow((1 + qn) % mod, -2, mod) + qn * pow(
-                (1 - qn) % mod, -2, mod
-            )
-            acc = (acc - 2 * t) % mod
+            acc = (acc - 2 * (_h(qn, mod) - _h(-qn, mod))) % mod
             n += 1
         return PadicInt(p, precision, acc)
     if which in (2, 3):
@@ -132,9 +132,8 @@ def build_bundle(p: int, precision: int | None = None) -> TateBundle:
     xpp3 = two_torsion_x(p, 3, r) * 4 + third
     inv8 = from_rational(1, 8, p, r)
     inv16 = from_rational(1, 16, p, r)
-    one = from_rational(1, 1, p, r)
-    alpha = ((xpp2 - xpp1) - one).shift_down(p) * inv8
-    beta = (one - (xpp3 - xpp1)).shift_down(p) * inv8
+    alpha = ((xpp2 - xpp1) - 1).shift_down(p) * inv8
+    beta = (1 - (xpp3 - xpp1)).shift_down(p) * inv8
     gamma = (xpp2 - xpp3).shift_down(p) * inv16
     return TateBundle(
         prime=p,

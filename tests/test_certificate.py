@@ -21,10 +21,6 @@ from locyc.certificate import (
 from locyc.curve_model import split_model
 from locyc.prime_search import SearchConfig
 
-MUTATION_DELTAS = (1, -1, 2, -2, 16, -16, 64, -64, 5)
-MUTATED_FIELDS = ("a0", "b0", "c0", "q1", "q2", "q3")
-
-
 def test_good_certificate_passes(cert5):
     report = verify_certificate(cert5)
     assert report.all_passed
@@ -295,20 +291,6 @@ def test_big_integers_survive_roundtrip(cert5):
     text = emit(cert5)
     assert f'"{cert5.q1}"' in text
     assert parse(text).q1 == cert5.q1
-
-
-def test_mutation_corpus_every_single_field_flip_fails(cert5):
-    corpus = [
-        (field, delta)
-        for field in MUTATED_FIELDS
-        for delta in MUTATION_DELTAS
-    ]
-    assert len(corpus) >= 50
-    for field, delta in corpus:
-        mutated = replace(cert5, **{field: getattr(cert5, field) + delta})
-        report = verify_certificate(mutated)
-        assert not report.all_passed, f"{field} += {delta} slipped through"
-        assert report.failing(), f"{field} += {delta} names no check"
 
 
 def test_mutation_lattice_shift_caught_by_structure(cert5):

@@ -52,7 +52,7 @@ def test_two_model_examples():
     assert two_model(0, 1, 17).discriminant() == 289
     m = two_model(64, 65, 81)  # t = (1, 1, 1)
     d = m.discriminant()
-    assert d.denominator == 1 and d.numerator % 2 == 1
+    assert d % 2 == 1
     with pytest.raises(ValueError, match="a0 must be 0 mod 64"):
         two_model(1, 1, 17)
 
@@ -147,17 +147,6 @@ def test_full_two_torsion_counts_divisible_by_4():
 
 
 small = st.integers(min_value=-30, max_value=30)
-
-
-@given(small, small, small, small, small)
-@settings(max_examples=300)
-def test_c_invariant_identity(a1, a2, a3, a4, a6):
-    try:
-        m = CurveModel(a1, a2, a3, a4, a6)
-    except ValueError:
-        return
-    c4, c6 = m.c_invariants()
-    assert c4**3 - c6**2 == 1728 * m.discriminant()
 
 
 @given(small, small, small)

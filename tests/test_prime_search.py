@@ -58,17 +58,6 @@ def test_is_prime_large():
     assert is_prime(m89 * m89).verdict == "composite"
 
 
-def test_is_prime_vs_sieve_sample():
-    limit = 50000
-    sieve = bytearray([1]) * (limit + 1)
-    sieve[0:2] = b"\x00\x00"
-    for i in range(2, int(limit**0.5) + 1):
-        if sieve[i]:
-            sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
-    for n in range(limit + 1):
-        assert (is_prime(n).verdict != "composite") == bool(sieve[n]), n
-
-
 @pytest.fixture(params=["native", "builtin"])
 def modexp_path(request, monkeypatch):
     """Run a test once through OpenSSL's arithmetic and once through
@@ -421,7 +410,7 @@ def test_sieve_parity_self_check(target5):
 # themselves sieve primes: 23 and 151 (Q1), 7, 71 and 199 (Q2), and 5,
 # 13, 17 and 29 (Q3).  Q1 - Q2 = 16 Q3, as the sieve tables require.
 DOCTORED = LinearFormTriple(
-    p=5, q1_constant=23, q2_constant=7, q3_constant=1,
+    q1_constant=23, q2_constant=7, q3_constant=1,
     q12_coefficient=64, q3_coefficient=4,
 )
 
@@ -778,7 +767,7 @@ def test_tiny_budgets_stop_alike_for_every_worker_count(target5):
 
 def test_default_sieve_bound_grows_with_bit_size(target5):
     wide = LinearFormTriple(
-        p=5, q1_constant=1, q2_constant=1, q3_constant=1,
+        q1_constant=1, q2_constant=1, q3_constant=1,
         q12_coefficient=2**999, q3_coefficient=4,
     )
     # b^2/16 at the default window, b^2/4 at the ladder's

@@ -174,7 +174,8 @@ def test_bundle_first_coordinate_16q_term():
         assert (b.xpp1.residue - expect) % p ** (4 * p) == 0
 
 
-@pytest.mark.parametrize("p", [5, 7, 13, 31, 41, 47, 53])
+# p = 5 and 7 are the acceptance suite's test_oracle_equivalence
+@pytest.mark.parametrize("p", [13, 31, 41, 47, 53])
 def test_oracle_equivalence_full_precision(p):
     n = 4 * p + 1
     b = build_bundle(p)
