@@ -146,9 +146,11 @@ def _unwritable(path: str) -> str | None:
 
 def _cmd_construct(args) -> int:
     _check_prime_arg(args.prime)
-    if args.budget < 0:
-        raise UsageError("budget must be nonnegative")
     for flag, value, least in (
+        ("--budget", args.budget, 0),
+        # random.Random seeds with |seed|, so a negative seed would
+        # write the certificate of its absolute value
+        ("--seed", args.seed, 0),
         ("--d-range", args.d_range, 1),
         ("--x-window", args.x_window, 1),
         ("--workers", args.workers, 1),

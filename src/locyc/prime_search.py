@@ -7,19 +7,24 @@ Q3, reducing the triple condition to a twin-like one.  The d values are
 visited in a seed-shuffled order; for each d whose Q3 value passes the
 sieve and the screen, one window of X values is sieved for Q1(X) and
 Q2(X - d) simultaneously and the survivors are tested in ascending
-order.  The winner is the hit with the smallest (d-index, X) position in
-that stream, which makes the result independent of how many workers ran
-the probes.
+order.  The order is the permutation ``random.Random(seed).shuffle``
+makes of the d range, computed by ``_d_order`` with the same loop
+written out, so it rests on the generator's ``getrandbits`` alone.  The
+winner is the hit with the smallest (d-index, X) position in that
+stream, which makes the result independent of how many workers ran the
+probes.
 
 Only where a hit can be does the search run Miller-Rabin:
 
 - Sieve tables.  Each search computes, once, one table of sieve
   primes ell and the root of every form mod each ell, so a form is
   sieved with slice assignments alone; Q3's root is Q1's minus Q2's, as
-  Q1 - Q2 = 16 p^p Q3.  The window of d is X in [d, d + x_window): Y =
-  X - d runs over [0, x_window) for every d, so Q2 is sieved once per
-  search and a window copies its marks and sieves Q1 on top.  A form
-  value that equals a sieve prime is never sieved out.
+  Q1 - Q2 = 16 p^p Q3.  Each form is then sieved once per search, over
+  every value the search can reach: Q3 over the d range, Q1 over X in
+  [d_lo, d_lo + d_range + x_window - 1), and Q2 over Y in [0, x_window),
+  since the window of d is X in [d, d + x_window) and Y = X - d.  A
+  window's marks are the OR of Q1's from X = d and Q2's.  A form value
+  that equals a sieve prime is never sieved out.
 - Q3 sieve.  Before any test, the Q3 values of the whole d range are
   sieved with the same primes.  A marked d is examined without a
   primality test.
@@ -63,11 +68,11 @@ Probes and workers:
   in-process.
 - Pool.  With more workers the stream opens one process pool per
   search at its first result; the initializer hands every worker the
-  tables, Q2's marks included, so a task is its d alone.  Each worker's
-  Q2 memo starts empty at the fork and fills on its own.  That is
-  sound: a probe's result, counters included, depends on d alone, and
-  the memo only decides which screens are computed rather than looked
-  up.  The d values are streamed one task each, with no barrier between
+  tables, every form's marks included, so a task is its d alone.  Each
+  worker's Q2 memo starts empty at the fork and fills on its own.  That
+  is sound: a probe's result, counters included, depends on d alone,
+  and the memo only decides which screens are computed rather than
+  looked up.  The d values are streamed one task each, with no barrier between
   tasks, and their results come back in stream order, so the hit and
   the counters are those of one worker.  At the stop (hit, budget or end
   of the d range) the stream is closed and the pool terminated: probes
@@ -376,43 +381,44 @@ def _sieve_form(
 class SieveTables:
     """One search's sieve data, built once: all a probe needs but d.
 
-    ``ells`` holds the sieve primes, and ell = ells[k] divides Q1(X) iff
-    X = q1_roots[k] and Q3(d) iff d = q3_roots[k] mod ell (see
-    ``_root_tables``); primes dividing the coefficients are left out.
-    The window of d is X in [d, d + x_window), so Y = X - d runs over
-    [0, x_window) for every d: q2_marks holds Q2 sieved there once, and
-    q2_screen[Y] the base-2 screen's verdict on Q2(Y) in this process so
-    far: ``_Q2_UNKNOWN`` until a survivor first screens it, then
-    ``_Q2_FAILED`` or ``_Q2_PASSED`` for good (only ``_probe_d`` writes
-    it).
+    Each form is sieved once, over all the values a search can reach:
+    q3_marks over d in [d_lo, d_lo + d_range), q1_marks over X in
+    [d_lo, d_lo + d_range + x_window - 1) and q2_marks over Y in
+    [0, x_window), the Y = X - d of every window.  A mark is set where
+    a sieve prime divides the form value without being equal to it.
+    q2_screen[Y] is the base-2 screen's verdict on Q2(Y) in this
+    process so far: ``_Q2_UNKNOWN`` until a survivor first screens it,
+    then ``_Q2_FAILED`` or ``_Q2_PASSED`` for good (only ``_probe_d``
+    writes it).
     """
 
-    def __init__(self, forms: LinearFormTriple, bound: int, x_window: int):
+    def __init__(self, forms: LinearFormTriple, bound: int, x_window: int,
+                 d_lo: int, d_range: int):
         self.forms = forms
-        self.ells, self.q1_roots, q2_roots, self.q3_roots = _root_tables(forms, bound)
+        self.d_lo = d_lo
+        ells, q1_roots, q2_roots, q3_roots = _root_tables(forms, bound)
+        coefficient = forms.q12_coefficient
+        self.q1_marks = bytearray(d_range + x_window - 1)
+        _sieve_form(self.q1_marks, d_lo, forms.q1_constant, coefficient,
+                    ells, q1_roots)
         self.q2_marks = bytearray(x_window)
-        _sieve_form(self.q2_marks, 0, forms.q2_constant, forms.q12_coefficient,
-                    self.ells, q2_roots)
+        _sieve_form(self.q2_marks, 0, forms.q2_constant, coefficient,
+                    ells, q2_roots)
+        self.q3_marks = bytearray(d_range)
+        _sieve_form(self.q3_marks, d_lo, forms.q3_constant, forms.q3_coefficient,
+                    ells, q3_roots)
         self.q2_screen = bytearray(x_window)  # all _Q2_UNKNOWN
 
-    def window_marks(self, d: int) -> bytearray:
+    def window_marks(self, d: int) -> bytes:
         """Marks of X in [d, d + x_window): set where a sieve prime
-        divides Q1(X) or Q2(X - d) without being equal to it.  Each form
-        marks on its own, so Q1 is sieved on a copy of q2_marks."""
-        f = self.forms
-        marks = self.q2_marks[:]
-        _sieve_form(marks, d, f.q1_constant, f.q12_coefficient,
-                    self.ells, self.q1_roots)
-        return marks
-
-    def q3_marks(self, d_lo: int, length: int) -> bytearray:
-        """Marks of d in [d_lo, d_lo + length): set where a sieve prime
-        divides Q3(d) without being equal to it."""
-        f = self.forms
-        marks = bytearray(length)
-        _sieve_form(marks, d_lo, f.q3_constant, f.q3_coefficient,
-                    self.ells, self.q3_roots)
-        return marks
+        divides Q1(X) or Q2(X - d) without being equal to it.  The marks
+        are 0 and 1 bytes, so the OR of the integers they spell is the
+        bytewise OR of q1_marks from X = d and q2_marks."""
+        lo = d - self.d_lo
+        width = len(self.q2_marks)
+        q1 = int.from_bytes(self.q1_marks[lo : lo + width], "little")
+        q2 = int.from_bytes(self.q2_marks, "little")
+        return (q1 | q2).to_bytes(width, "little")
 
 
 def _passes_screen(n: int) -> bool:
@@ -520,6 +526,31 @@ def _probes(todo, tables: SieveTables, config: SearchConfig):
         yield from pool.imap(_probe_in_worker, todo, chunksize=1)
 
 
+def _d_order(d_lo: int, length: int, seed: int) -> array:
+    """The d values d_lo, ..., d_lo + length - 1 in the seed's order:
+    the permutation that ``random.Random(seed).shuffle`` makes of them.
+
+    The same Durstenfeld loop, written out: from the top index i down to
+    1, swap i with j drawn uniformly from [0, i] by ``getrandbits(k)``
+    with rejection, where k is the bit length of i + 1.  k is set once
+    per run of i + 1 of one bit length.  An array holds the order in a
+    quarter of a list's memory.
+    """
+    ds = array("q", range(d_lo, d_lo + length))
+    getrandbits = random.Random(seed).getrandbits
+    top = length - 1
+    while top > 0:
+        k = (top + 1).bit_length()
+        bottom = (1 << (k - 1)) - 1  # i + 1 has k bits for i in [bottom, top]
+        for i in range(top, bottom - 1, -1):
+            j = getrandbits(k)
+            while j > i:
+                j = getrandbits(k)
+            ds[i], ds[j] = ds[j], ds[i]
+        top = bottom - 1
+    return ds
+
+
 def search(
     forms: LinearFormTriple, target: CongruenceTarget, config: SearchConfig
 ) -> tuple[int, int, tuple[PrimalityEvidence, PrimalityEvidence, PrimalityEvidence]]:
@@ -534,13 +565,11 @@ def search(
     """
     t0 = time.monotonic()
     config = with_sieve_bound(config, forms)
-    tables = SieveTables(forms, config.sieve_bound, config.x_window)
     d_lo = 0 if forms.q3_constant > 0 else 1
-    # an array holds the d order in a quarter of a list's memory, and
-    # shuffle permutes both alike
-    ds = array("q", range(d_lo, d_lo + config.d_range))
-    random.Random(config.seed).shuffle(ds)
-    sieved = tables.q3_marks(d_lo, config.d_range)
+    tables = SieveTables(forms, config.sieve_bound, config.x_window,
+                         d_lo, config.d_range)
+    ds = _d_order(d_lo, config.d_range, config.seed)
+    sieved = tables.q3_marks
 
     stats = SearchStats()
     hit = None

@@ -221,6 +221,8 @@ def test_construct_defaults_are_the_search_config_defaults(tmp_path, monkeypatch
         ("--x-window", "0"),
         ("--d-range", "-5"),
         ("--workers", "-3"),
+        ("--seed", "-1"),
+        ("--budget", "-1"),
         # no longer a flag: the bound is always
         # default_sieve_bound(forms, x_window)
         ("--sieve-bound", "30000"),

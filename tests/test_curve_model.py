@@ -149,16 +149,6 @@ def test_full_two_torsion_counts_divisible_by_4():
 small = st.integers(min_value=-30, max_value=30)
 
 
-@given(small, small, small)
-@settings(max_examples=300)
-def test_split_model_identities(a, b, c):
-    if a == b or b == c or a == c:
-        return
-    m = split_model(a, b, c)
-    assert m.discriminant() == 16 * ((a - b) * (b - c) * (c - a)) ** 2
-    assert m.c_invariants()[0] == 16 * (a * a + b * b + c * c - a * b - b * c - c * a)
-
-
 @given(st.sampled_from([3, 5, 7, 11, 13, 19, 31, 97, 101]), small, small, small)
 @settings(max_examples=120)
 def test_hasse_bound(ell, a, b, c):

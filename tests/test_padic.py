@@ -141,43 +141,6 @@ def test_hensel_power_map_instance():
     assert (pow(refined.residue, 2 * p, 5**30) - q0) % 5**30 == 0
 
 
-@pytest.mark.parametrize(
-    "coeffs,alpha,p,modexp",
-    [
-        ([-2, 0, 1], 3, 7, 3),
-        ([-2, 0, 1], 4, 7, 3),
-        ([-1, -1, 0, 1], 2, 5, 5),  # x^3 - x - 1 has a simple root = 2 mod 5
-        ([1, 1, 1], 2, 7, 4),       # x^2 + x + 1 = 0 mod 7 at x = 2
-    ],
-)
-def test_hensel_uniqueness_vs_enumeration(coeffs, alpha, p, modexp):
-    """For simple roots, exhaustive enumeration mod p^modexp finds exactly
-    one root in the class of alpha mod p, and it matches the lifted one."""
-    beta = hensel_lift(coeffs, alpha, p, j=1, tau=0, precision=modexp)
-    mod = p**modexp
-
-    def f(x):
-        return sum(c * x**i for i, c in enumerate(coeffs))
-
-    roots = [x for x in range(mod) if f(x) % mod == 0 and x % p == alpha % p]
-    assert roots == [beta.residue]
-
-
-def test_hensel_tau_positive_uniqueness():
-    # doubled derivative: f = x^2 - (900 + 5^7), alpha = 30, tau = 1, j = 7
-    p = 5
-    c = 900 + 5**7
-    beta = hensel_lift([-c, 0, 1], 30, p, j=7, tau=1, precision=5)
-    mod = p**5
-    # enumeration oracle: f(x) = 0 mod p^(5+tau) and x = alpha mod p^(tau+1)
-    roots = [
-        x
-        for x in range(mod)
-        if (x * x - c) % p**6 == 0 and x % p**2 == 30 % p**2
-    ]
-    assert roots == [beta.residue]
-
-
 def test_hensel_precondition_reporting():
     with pytest.raises(ValueError, match="valuation 0, below the required 2"):
         hensel_lift([-3, 0, 1], 1, 5, j=2, tau=0)

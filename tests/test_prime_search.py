@@ -21,6 +21,7 @@ from locyc.prime_search import (
     SearchConfig,
     SearchStats,
     SieveTables,
+    _d_order,
     _sieve_form,
     _small_primes,
     _strong_probable_prime,
@@ -423,34 +424,35 @@ def test_sieve_tables_mark_exactly_the_divisible_values(forms_of):
         forms = linear_forms(build_targets(build_bundle(int(forms_of[1:]))))
     bound = 200
     primes = _small_primes(bound)
-    tables = SieveTables(forms, bound, 300)
     coeff = forms.q12_coefficient
-    for d in (0, 1, 3, 7, 40, 190, 333):
-        marks = tables.window_marks(d)
-        assert len(marks) == 300
-        for i, mark in enumerate(marks):
-            x = d + i
-            expected = sieved_out(forms.q1_at(x), coeff, primes) or sieved_out(
-                forms.q2_at(x - d), coeff, primes
-            )
-            assert bool(mark) == expected, (d, x)
     for d_lo in (0, 1, 150):
-        marks = tables.q3_marks(d_lo, 400)
-        for i, mark in enumerate(marks):
+        tables = SieveTables(forms, bound, 300, d_lo, 400)
+        assert len(tables.q3_marks) == 400
+        for i, mark in enumerate(tables.q3_marks):
             v = forms.q3_at(d_lo + i)
             assert bool(mark) == sieved_out(v, forms.q3_coefficient, primes), v
+        # the last d of the range reads the end of Q1's marks
+        for d in (d_lo, d_lo + 3, d_lo + 40, d_lo + 333, d_lo + 399):
+            marks = tables.window_marks(d)
+            assert len(marks) == 300
+            for i, mark in enumerate(marks):
+                x = d + i
+                expected = sieved_out(forms.q1_at(x), coeff, primes) or sieved_out(
+                    forms.q2_at(x - d), coeff, primes
+                )
+                assert bool(mark) == expected, (d, x)
     if forms is DOCTORED:
+        tables = SieveTables(forms, bound, 300, 0, 50)
         # at d = 0, X = 0..5: Q1 = 23, 87, 151, 215, 279, 343 and
         # Q2 = 7, 71, 135, 199, 263, 327; only X = 0 has neither form
         # sieved out, because 23 and 7 are sieve primes themselves
         assert tables.window_marks(0)[:6] == b"\x00\x01\x01\x01\x01\x01"
         # Q3(d) = 1 + 4d is the sieve prime 5, 13, 17, 29 at d = 1, 3, 4, 7
-        q3 = tables.q3_marks(0, 50)
         for d in (1, 3, 4, 7):
-            assert not q3[d], forms.q3_at(d)
+            assert not tables.q3_marks[d], forms.q3_at(d)
 
 
-def test_q2_is_sieved_once_per_search(target5, monkeypatch):
+def test_each_form_is_sieved_exactly_once_per_search(target5, monkeypatch):
     calls = []
     sieve_form = prime_search._sieve_form
 
@@ -465,11 +467,19 @@ def test_q2_is_sieved_once_per_search(target5, monkeypatch):
                                             sieve_bound=30))
     windows = info.value.stats.q3_primes
     assert windows > 1
-    # Q2 once, Q3 once, and Q1 once per window
-    assert len(calls) == windows + 2
-    assert calls.count(forms.q2_constant) == 1
-    assert calls.count(forms.q3_constant) == 1
-    assert calls.count(forms.q1_constant) == windows
+    # once per search, however many windows were sieved
+    assert sorted(calls) == sorted(
+        [forms.q1_constant, forms.q2_constant, forms.q3_constant]
+    )
+
+
+@pytest.mark.parametrize("d_lo", [0, 1])
+def test_d_order_is_the_permutation_random_shuffle_makes(d_lo):
+    for length in (0, 1, 2, 3, 4, 5, 63, 64, 65, 512, 4097, 100000):
+        for seed in (0, 1, 2, 2**70 + 1):
+            ds = array("q", range(d_lo, d_lo + length))
+            random.Random(seed).shuffle(ds)
+            assert _d_order(d_lo, length, seed) == ds, (length, seed)
 
 
 def reference_search(forms, config):
@@ -507,13 +517,13 @@ SECOND_WINDOW_HIT = SearchConfig(seed=1, x_window=64, sieve_bound=30)
 def window_survivors(forms, config):
     """Brute force for a search without a hit: (d, Y) of every survivor
     of every window whose Q3 passes the sieve and the base-2 screen."""
-    tables = SieveTables(forms, config.sieve_bound, config.x_window)
     d_lo = 0 if forms.q3_constant > 0 else 1
-    q3_sieved = tables.q3_marks(d_lo, config.d_range)
+    tables = SieveTables(forms, config.sieve_bound, config.x_window,
+                         d_lo, config.d_range)
     return [
         (d, y)
         for d in range(d_lo, d_lo + config.d_range)
-        if not q3_sieved[d - d_lo] and _strong_probable_prime(forms.q3_at(d), 2)
+        if not tables.q3_marks[d - d_lo] and _strong_probable_prime(forms.q3_at(d), 2)
         for y, mark in enumerate(tables.window_marks(d))
         if not mark
     ]
