@@ -78,7 +78,7 @@ def build_parser() -> _Parser:
     c.add_argument("--seed", type=int, default=SearchConfig.seed)
     c.add_argument("--budget", type=int, default=SearchConfig.budget, help="max primality tests")
     c.add_argument("--out", default=None, help="certificate path (default certificate-p<P>.json)")
-    c.add_argument("--workers", type=int, default=SearchConfig.worker_count)
+    c.add_argument("--workers", type=int, default=SearchConfig.worker_count, help="search threads")
     c.add_argument("--d-range", type=int, default=SearchConfig.d_range)
     c.add_argument("--x-window", type=int, default=SearchConfig.x_window)
     c.add_argument("-v", "--verbose", action="store_true")

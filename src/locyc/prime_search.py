@@ -31,9 +31,10 @@ Only where a hit can be does the search run Miller-Rabin:
 - Screen.  A base-2 strong-probable-prime test.  Q3 gets the screen
   alone before its window is sieved.  A window survivor is screened on
   Q2(Y) first, through a per-search memo indexed by Y: as Y runs over
-  the same range for every d, each Q2 value is screened at most once
-  per search (per worker).  Only a survivor whose Q2 passed is screened
-  on Q1.  When both pass, ``is_prime`` runs on Q1 and then Q2.  The
+  the same range for every d, each Q2 value is screened once per search
+  (or once by each worker thread that reaches it before its verdict is
+  stored).  Only a survivor whose Q2 passed is screened on Q1.  When
+  both pass, ``is_prime`` runs on Q1 and then Q2.  The
   memo holds the screen's verdict alone: a Q2 that passes the screen
   and then fails ``is_prime`` (a base-2 strong pseudoprime) is tested
   again in any later window whose Q1 passes.  Once a window has its hit,
@@ -64,21 +65,30 @@ Probes and workers:
 
 - One stream.  ``search`` holds the only loop over the d order, for
   every worker count.  A d whose Q3 survived the sieve takes the next
-  result of one probe stream; for one worker that stream probes
-  in-process.
-- Pool.  With more workers the stream opens one process pool per
-  search at its first result; the initializer hands every worker the
-  tables, every form's marks included, so a task is its d alone.  Each
-  worker's Q2 memo starts empty at the fork and fills on its own.  That
-  is sound: a probe's result, counters included, depends on d alone,
-  and the memo only decides which screens are computed rather than
-  looked up.  The d values are streamed one task each, with no barrier between
-  tasks, and their results come back in stream order, so the hit and
-  the counters are those of one worker.  At the stop (hit, budget or end
-  of the d range) the stream is closed and the pool terminated: probes
-  that ran ahead of the stop are killed, not waited for.  The pool
-  forks where the platform can, whatever the default start method, and
-  the parent opens the modexp kernel before it forks.
+  result of one probe stream; for one worker that stream probes in the
+  search's own thread.
+- Threads.  With more workers the stream starts a thread pool of that
+  size in the search's own process at its first result, one task per
+  d, and takes the results in stream order, so the hit and the counters
+  are those of one worker.  Nearly all of a probe's time is in
+  ``BN_mod_exp``, which ``ctypes`` calls with the interpreter lock
+  released, so the threads' exponentiations overlap.  The modexp kernel
+  is opened before the threads start, so that no two open it at once.
+- Bounded read-ahead.  Tasks are submitted at most
+  ``_READ_AHEAD_PER_WORKER`` per worker ahead of the result the search
+  waits for: enough that a probe with many survivors does not leave
+  the other threads idle, and few enough that the queue does not hold
+  every survivor of the d range.
+- Stop.  At the stop (hit, budget, end of the d range, or an error) the
+  stream sets the tables' ``stopped`` flag, which ends a probe that ran
+  ahead before its next survivor, cancels the tasks not yet started and
+  joins the threads, so no worker outlives ``search``.
+- Shared memo.  Every thread probes with the search's one
+  ``SieveTables``, and so with one Q2 memo.  Two threads that reach the
+  same unscreened Y both screen it and store the same verdict, so the
+  race repeats a screen and never changes one.  A probe's result,
+  counters included, depends on d alone: the memo only decides which
+  screens are computed rather than looked up.
 
 Budget accounting: every d examined costs one test, whether the sieve,
 the screen or ``is_prime`` rejected its Q3; a window survivor costs one
@@ -93,13 +103,12 @@ from __future__ import annotations
 
 import logging
 import math
-import multiprocessing
 import random
 import time
 from array import array
 from contextlib import closing
 from dataclasses import dataclass, replace
-from itertools import compress
+from itertools import compress, islice
 
 from . import modexp
 from .padic import int_valuation
@@ -387,9 +396,10 @@ class SieveTables:
     [0, x_window), the Y = X - d of every window.  A mark is set where
     a sieve prime divides the form value without being equal to it.
     q2_screen[Y] is the base-2 screen's verdict on Q2(Y) in this
-    process so far: ``_Q2_UNKNOWN`` until a survivor first screens it,
+    search so far: ``_Q2_UNKNOWN`` until a survivor first screens it,
     then ``_Q2_FAILED`` or ``_Q2_PASSED`` for good (only ``_probe_d``
-    writes it).
+    writes it).  ``stopped`` is set once the search has stopped; a probe
+    still running then ends before its next survivor.
     """
 
     def __init__(self, forms: LinearFormTriple, bound: int, x_window: int,
@@ -408,6 +418,7 @@ class SieveTables:
         _sieve_form(self.q3_marks, d_lo, forms.q3_constant, forms.q3_coefficient,
                     ells, q3_roots)
         self.q2_screen = bytearray(x_window)  # all _Q2_UNKNOWN
+        self.stopped = False
 
     def window_marks(self, d: int) -> bytes:
         """Marks of X in [d, d + x_window): set where a sieve prime
@@ -442,7 +453,9 @@ def _probe_d(tables: SieveTables, d: int):
     Returns (q3_was_prime, hit, tests, survivors) with hit either None or
     (x, (Q1 evidence, Q2 evidence, Q3 evidence)).  The result is a
     function of d and the search's forms alone; the Q2 memo in
-    ``tables`` only skips repeated work.
+    ``tables`` only skips repeated work.  A probe that finds
+    ``tables.stopped`` set ends before its next survivor, with a result
+    that is not d's: the search reads no result after its stop.
     """
     forms = tables.forms
     # Q3(d) > 0: |q3_constant| < q3_coefficient, since s1 and s2 are
@@ -455,7 +468,7 @@ def _probe_d(tables: SieveTables, d: int):
     tests = 1
     survivors = 0
     i = marks.find(0)
-    while i >= 0:
+    while i >= 0 and not tables.stopped:
         y = i  # the window index is Y = X - d
         i = marks.find(0, i + 1)
         survivors += 1
@@ -485,45 +498,41 @@ def _probe_d(tables: SieveTables, d: int):
     return True, None, tests, survivors
 
 
-# fork where the platform has it, whatever the process default: a
-# worker then inherits the package, the tables and the opened modexp
-# kernel, where a fresh interpreter per worker would import the package,
-# receive the tables by pickle and open the library in every search
-_POOL_CONTEXT = multiprocessing.get_context(
-    "fork" if "fork" in multiprocessing.get_all_start_methods() else None
-)
-
-# the pool workers' copy of the search's tables, set by _init_worker
-_worker_tables = None
-
-
-def _init_worker(tables: SieveTables) -> None:
-    global _worker_tables
-    _worker_tables = tables
-
-
-def _probe_in_worker(d: int):
-    return _probe_d(_worker_tables, d)
+# tasks submitted ahead of the result the search waits for, per worker.
+# Search time of p = 41 plus p = 47 at the ladder flags with two workers
+# (2-core Xeon VM, Python 3.11, OpenSSL 3; medians of 20 alternating
+# in-process rounds): 0.76 s at 16, 0.70 s at 32 and 0.71 s at 64.  In
+# one 10-round session 2 and 8 were 35% and 25% slower than 32; in
+# another, 1024 was as slow as one worker
+_READ_AHEAD_PER_WORKER = 32
 
 
 def _probes(todo, tables: SieveTables, config: SearchConfig):
     """Probe result of every d of ``todo``, in that order.
 
-    One worker probes in this process.  Several share one pool, opened
-    at the first ``next`` and fed through ``imap`` one d per task, so
-    the results come back in stream order.  Closing the generator
-    terminates the pool: probes that ran ahead of the stop are killed.
+    One worker probes in the calling thread.  Several share one thread
+    pool, started at the first ``next``: one task per d, submitted at
+    most ``_READ_AHEAD_PER_WORKER`` per worker ahead of the result being
+    read.  Closing the generator stops the stream: it sets
+    ``tables.stopped``, which ends a probe that ran ahead at its next
+    survivor, cancels the tasks not yet started and joins the threads.
     """
     if config.worker_count <= 1:
-        for d in todo:
-            yield _probe_d(tables, d)
+        yield from (_probe_d(tables, d) for d in todo)
         return
-    # forking is safe here: the pool forks its workers before it starts
-    # its own threads.  The kernel is opened first so that every worker
-    # inherits it.
-    modexp.kernel()
-    with _POOL_CONTEXT.Pool(config.worker_count, _init_worker, (tables,)) as pool:
-        yield from pool.imap(_probe_in_worker, todo, chunksize=1)
+    from concurrent.futures import ThreadPoolExecutor
+
+    modexp.kernel()  # opened here, so that no two threads open it at once
+    pool = ThreadPoolExecutor(config.worker_count)
+    tasks = (pool.submit(_probe_d, tables, d) for d in todo)
+    try:
+        pending = list(islice(tasks, _READ_AHEAD_PER_WORKER * config.worker_count))
+        while pending:
+            yield pending.pop(0).result()
+            pending.extend(islice(tasks, 1))
+    finally:
+        tables.stopped = True
+        pool.shutdown(cancel_futures=True)
 
 
 def _d_order(d_lo: int, length: int, seed: int) -> array:

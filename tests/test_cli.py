@@ -1,6 +1,6 @@
+import concurrent.futures
 import hashlib
 import json
-import multiprocessing.pool
 import os
 import subprocess
 import sys
@@ -257,7 +257,7 @@ def test_workers_above_the_cpu_count_are_a_usage_error(tmp_path, capsys, monkeyp
     def no_pool(*args, **kwargs):
         raise AssertionError("a pool was started")
 
-    monkeypatch.setattr(multiprocessing.pool, "Pool", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
     out = tmp_path / "never.json"
     workers = str((os.cpu_count() or 1) + 1)
     code = run(["construct", "--prime", "5", "--workers", workers, "--out", str(out)])

@@ -1,12 +1,13 @@
+import concurrent.futures
 import ctypes
 import logging
 import math
 import multiprocessing
-import multiprocessing.pool
 import os
 import random
 import subprocess
 import sys
+import threading
 from array import array
 from dataclasses import replace
 from pathlib import Path
@@ -359,6 +360,21 @@ def test_importing_the_package_does_not_import_ctypes():
     env = dict(os.environ, PYTHONPATH=str(src))
     code = "import sys, locyc.cli; assert 'ctypes' not in sys.modules"
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
+
+
+def test_a_one_worker_construct_imports_no_pool_module(tmp_path):
+    # only a search with several workers imports the thread pool
+    src = Path(prime_search.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    argv = ["construct", "--prime", "5", "--out", str(tmp_path / "c.json")]
+    code = (
+        "import sys\n"
+        "from locyc import cli\n"
+        f"assert cli.main({argv!r}) == 0\n"
+        "loaded = {'multiprocessing', 'concurrent.futures'} & set(sys.modules)\n"
+        "assert not loaded, loaded\n"
+    )
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
 
 
 def test_small_primes():
@@ -714,46 +730,70 @@ def test_pool_examines_the_whole_d_range_like_one_worker(target5):
     ],
     ids=["hit", "budget", "d-range-end"],
 )
-def test_no_pool_worker_outlives_the_search(target5, config, stop):
+def test_no_pool_worker_outlives_the_search(target5, config, stop, monkeypatch):
+    kernel_opened = []
+    executor_init = concurrent.futures.ThreadPoolExecutor.__init__
+
+    def recording_init(self, *args, **kwargs):
+        kernel_opened.append(modexp._kernel is not modexp._UNOPENED)
+        executor_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures.ThreadPoolExecutor, "__init__",
+                        recording_init)
+    monkeypatch.setattr(modexp, "_kernel", modexp._UNOPENED)
     forms = linear_forms(target5)
     config = replace(config, worker_count=2)
+    threads = threading.enumerate()
     if stop is None:
         search(forms, target5, config)
     else:
         with pytest.raises(BudgetExhaustedError, match=stop):
             search(forms, target5, config)
+    assert threading.enumerate() == threads
     assert multiprocessing.active_children() == []
+    # one pool per search, started after the kernel was opened
+    assert kernel_opened == [True]
 
 
 def test_no_pool_starts_when_no_d_is_dispatched(target5, monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("a pool was started")
 
-    monkeypatch.setattr(multiprocessing.pool, "Pool", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
     with pytest.raises(BudgetExhaustedError):
         search(linear_forms(target5), target5, SearchConfig(budget=0, worker_count=2))
 
 
-def test_pool_forks_whatever_the_default_start_method(target5, monkeypatch):
-    contexts = []
-    pool_init = multiprocessing.pool.Pool.__init__
+def test_threads_share_the_q2_memo_without_a_wrong_verdict(target5, monkeypatch):
+    # more worker threads than CPUs, switching as often as the interpreter
+    # allows: every verdict in the shared memo must be the screen's, and
+    # the hit must be one worker's
+    tables = []
+    tables_init = SieveTables.__init__
 
-    def recording_init(self, *args, context=None, **kwargs):
-        contexts.append(context.get_start_method())
-        pool_init(self, *args, context=context, **kwargs)
+    def recording_init(self, *args):
+        tables_init(self, *args)
+        tables.append(self)
 
-    monkeypatch.setattr(multiprocessing.pool.Pool, "__init__", recording_init)
-    monkeypatch.setattr(modexp, "_kernel", modexp._UNOPENED)
-    default = multiprocessing.get_start_method(allow_none=True)
-    multiprocessing.set_start_method("spawn", force=True)
+    monkeypatch.setattr(SieveTables, "__init__", recording_init)
+    forms = linear_forms(target5)
+    hits = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
     try:
-        search(linear_forms(target5), target5, SearchConfig(seed=1, worker_count=2))
+        for workers in (1, (os.cpu_count() or 1) + 1):
+            hits.append(search(forms, target5, SearchConfig(seed=1, worker_count=workers)))
     finally:
-        multiprocessing.set_start_method(default, force=True)
-    has_fork = "fork" in multiprocessing.get_all_start_methods()
-    assert contexts == ["fork" if has_fork else "spawn"]
-    # the parent opened the kernel before it forked the workers
-    assert modexp._kernel is not modexp._UNOPENED
+        sys.setswitchinterval(interval)
+    assert hits[1] == hits[0]
+    one, many = (t.q2_screen for t in tables)
+    for y, state in enumerate(many):
+        passed = prime_search._passes_screen(forms.q2_at(y))
+        screened = prime_search._Q2_PASSED if passed else prime_search._Q2_FAILED
+        assert state in (prime_search._Q2_UNKNOWN, screened), y
+        # the threads probed every d one worker probed
+        assert one[y] in (prime_search._Q2_UNKNOWN, state), y
+    assert any(one)
 
 
 def test_tiny_budgets_stop_alike_for_every_worker_count(target5):
