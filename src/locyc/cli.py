@@ -19,7 +19,7 @@ import logging
 import os
 import sys
 
-from . import __version__
+from . import __version__, modexp
 from .certificate import (
     Certificate,
     CertificateFormatError,
@@ -161,6 +161,10 @@ def _cmd_construct(args) -> int:
     if args.workers > cpus:
         raise UsageError(f"--workers must be at most {cpus} (the CPU count), "
                          f"got {args.workers}")
+    if args.workers > 1 and modexp.kernel() is None:
+        # builtin pow holds the interpreter lock, so the threads take turns
+        print("warning: --workers above 1 gains nothing without libcrypto: "
+              "the search threads take turns on builtin pow", file=sys.stderr)
     config = SearchConfig(
         seed=args.seed,
         d_range=args.d_range,

@@ -1,12 +1,11 @@
 """OpenSSL's BIGNUM arithmetic on Python integers, through ``ctypes``.
 
 The native kernel behind ``modexp``: ``BN_mod_exp`` for ``powmod``, and
-the Lucas V ladder of ``lucas_chain`` on Montgomery numbers
-(``BN_mod_mul_montgomery``, ``BN_mod_sub_quick``,
-``BN_mod_lshift1_quick``).  Every BIGNUM, BN_CTX and BN_MONT_CTX a call
-allocates is freed in a ``finally``; a NULL allocation raises
-``MemoryError`` and a failed operation ``ArithmeticError``, so a call
-never returns a doubtful value.
+the Q = 1 Lucas V ladder of ``lucas_chain`` on Montgomery numbers
+(``BN_mod_mul_montgomery`` and ``BN_mod_sub_quick``).  Every BIGNUM,
+BN_CTX and BN_MONT_CTX a call allocates is freed in a ``finally``; a
+NULL allocation raises ``MemoryError`` and a failed operation
+``ArithmeticError``, so a call never returns a doubtful value.
 
 The library is the versioned ``libcrypto.so.3`` or ``libcrypto.so.1.1``,
 the one CPython's own ``ssl`` and ``hashlib`` load on Linux.  No
@@ -42,7 +41,6 @@ class Libcrypto:
             "BN_to_montgomery": (i, [vp, vp, vp, vp]),
             "BN_mod_mul_montgomery": (i, [vp, vp, vp, vp, vp]),
             "BN_mod_sub_quick": (i, [vp, vp, vp, vp]),
-            "BN_mod_lshift1_quick": (i, [vp, vp, vp]),
         }
         for name, (restype, argtypes) in signatures.items():
             fn = getattr(lib, name)  # AttributeError: the symbol is missing
@@ -82,8 +80,9 @@ class Libcrypto:
                 self.BN_free(bn)
             self.BN_CTX_free(ctx)
 
-    def lucas_chain(self, Q: int, d: int, n: int) -> tuple[int, int, int]:
-        """(V_d, V_(d+1), Q^d) mod n, for P = 1, d >= 0 and an odd n > 1."""
+    def lucas_v(self, P: int, k: int, n: int) -> tuple[int, int]:
+        """(V_k, V_(k+1)) mod n for the Lucas sequence with this P and
+        Q = 1, for 0 <= P < n, k >= 0 and an odd n > 1."""
         ctx = self.BN_CTX_new()
         mont = self.BN_MONT_CTX_new()
         bns = []
@@ -96,38 +95,31 @@ class Libcrypto:
             bns.append(m)
             if not self.BN_MONT_CTX_set(mont, m, ctx):
                 raise ArithmeticError("BN_MONT_CTX_set failed")
-            # V_0, V_1, Q^0 and Q in Montgomery form, a scratch number t,
-            # and a plain 1, which a Montgomery product turns back into
-            # plain numbers
-            for value in (2 % n, 1 % n, 1 % n, Q % n):
+            # V_0, V_1 and the constants 2 and P in Montgomery form, and a
+            # plain 1, which a Montgomery product turns back into plain
+            # numbers
+            for value in (2, P, 2, P):
                 bns.append(self._bn(value))
                 if not self.BN_to_montgomery(bns[-1], bns[-1], mont, ctx):
                     raise ArithmeticError("BN_to_montgomery failed")
-            bns.append(self._bn(0))
             bns.append(self._bn(1))
-            v, v1, qk, q, t, one = bns[1:]
+            v, v1, two, p, one = bns[1:]
             mul, sub = self.BN_mod_mul_montgomery, self.BN_mod_sub_quick
-            dbl = self.BN_mod_lshift1_quick
-            for bit in bin(d)[2:]:
+            for bit in bin(k)[2:]:
                 if bit == "1":  # k -> 2k + 1
                     ok = (
-                        mul(v, v, v1, mont, ctx) and sub(v, v, qk, m)
-                        and mul(t, qk, q, mont, ctx)  # Q^(k+1)
-                        and mul(qk, qk, t, mont, ctx)
-                        and dbl(t, t, m)
-                        and mul(v1, v1, v1, mont, ctx) and sub(v1, v1, t, m)
+                        mul(v, v, v1, mont, ctx) and sub(v, v, p, m)
+                        and mul(v1, v1, v1, mont, ctx) and sub(v1, v1, two, m)
                     )
                 else:  # k -> 2k
                     ok = (
-                        mul(v1, v, v1, mont, ctx) and sub(v1, v1, qk, m)
-                        and mul(v, v, v, mont, ctx)
-                        and dbl(t, qk, m) and sub(v, v, t, m)
-                        and mul(qk, qk, qk, mont, ctx)
+                        mul(v1, v, v1, mont, ctx) and sub(v1, v1, p, m)
+                        and mul(v, v, v, mont, ctx) and sub(v, v, two, m)
                     )
                 if not ok:
                     raise ArithmeticError("a Montgomery ladder step failed")
             out = []
-            for x in (v, v1, qk):
+            for x in (v, v1):
                 if not mul(x, x, one, mont, ctx):
                     raise ArithmeticError("BN_mod_mul_montgomery failed")
                 out.append(self._int(x))

@@ -8,17 +8,27 @@ does not match at the search's sizes: at 1243 bits ``pow`` takes about
 moving the numbers into OpenSSL outweighs the gain, and ``pow`` runs.
 
 ``lucas_chain(Q, d, n)`` gives (V_d, V_(d+1), Q^d) mod n for the Lucas
-sequence with P = 1: V_0 = 2, V_1 = 1, V_(k+1) = V_k - Q V_(k-1).  It
-is a Montgomery ladder on (V_k, V_(k+1), Q^k), one step per bit of d,
-three products per step (and a multiplication by Q on a 1 bit):
+sequence with P = 1: V_0 = 2, V_1 = 1, V_(k+1) = V_k - Q V_(k-1), for Q
+prime to n.  It runs one ladder, the same for every Q, on the sequence
+with Q = 1 whose roots are a^2/Q and b^2/Q (a and b the roots of
+x^2 - x + Q), that is W_k = V_k(P', 1) with P' = 1/Q - 2 mod n:
 
-    V_2k = V_k^2 - 2 Q^k,  V_(2k+1) = V_k V_(k+1) - Q^k,
-    V_(2k+2) = V_(k+1)^2 - 2 Q^(k+1).
+    W_0 = 2,  W_1 = P',  W_2k = W_k^2 - 2,  W_(2k+1) = W_k W_(k+1) - P',
 
-For an odd n of at least ``LUCAS_CROSSOVER_BITS`` bits the ladder runs
-on OpenSSL Montgomery numbers (``BN_mod_mul_montgomery``), one ``ctypes``
-call per product, subtraction and doubling; elsewhere on builtin ints.
-Both give the same values.
+two products and two subtractions per bit of j = floor(d/2), with no
+power of Q to carry.  As W_k = V_2k / Q^k and W_k + W_(k+1) =
+V_(2k+1) / Q^(k+1), both identities over Z[1/Q], the chain is then
+
+    d = 2j:      V_d = Q^j W_j,              V_(d+1) = Q^(j+1) (W_j + W_(j+1)),
+    d = 2j + 1:  V_d = Q^(j+1) (W_j + W_(j+1)),  V_(d+1) = Q^(j+1) W_(j+1),
+
+with Q^j one ``powmod`` of |Q| (and 1 when |Q| = 1).  Dividing by Q
+needs gcd(Q, n) = 1, so ``lucas_chain`` raises ``ValueError`` otherwise.
+
+For an odd n of at least ``LUCAS_CROSSOVER_BITS`` bits the W ladder runs
+on OpenSSL Montgomery numbers (``BN_mod_mul_montgomery`` and
+``BN_mod_sub_quick``), four ``ctypes`` calls per bit; elsewhere on
+builtin ints.  Both give the same values.
 
 The native kernel is ``libcrypto.Libcrypto``.  Where the library does
 not open, or a symbol is missing, every call runs on builtin ints: the
@@ -35,14 +45,14 @@ from __future__ import annotations
 # 300 and 8x at 1243
 CROSSOVER_BITS = 100
 
-# the bit size of n from which the Lucas ladder on OpenSSL Montgomery
-# numbers beats the one on builtin ints.  A step costs six or seven
-# ctypes calls of 0.5-1.3 us each, nearly whatever the size, against
-# three builtin products that grow with it.  Measured on the same VM with
-# Selfridge's Q, builtin time over native time: 0.5-0.7x at 400-480 bits,
-# 0.7-0.9x at 560, 0.8-1.0x at 620-683, 0.9-1.2x at 700, 1.1x at
-# 740-807, 1.2-1.8x at 935, 1.5-2.1x at 1070 and 2.1-2.4x at 1243
-LUCAS_CROSSOVER_BITS = 700
+# the bit size of n from which the W ladder on OpenSSL Montgomery
+# numbers beats the one on builtin ints.  A step costs four ctypes calls
+# of about 1 us each, nearly whatever the size, against two builtin
+# products that grow with it.  Measured on the same VM, lucas_chain with
+# Q = -1, 2, 3, -3 on random odd n, builtin time over native time
+# (median of 6-16 chains): 0.6-0.7x at 400-450 bits, 0.8-1.0x at
+# 485-525, 1.0x at 550-600, 1.1-1.2x at 640-700 and 2.0-3.0x at 1243
+LUCAS_CROSSOVER_BITS = 550
 
 _UNOPENED = object()
 _kernel = _UNOPENED
@@ -68,32 +78,33 @@ def powmod(b: int, e: int, n: int) -> int:
     return pow(b, e, n)
 
 
-def _lucas_chain(Q: int, d: int, n: int) -> tuple[int, int, int]:
-    """``lucas_chain`` on builtin ints."""
-    half = n >> 1
-    v, v1, qk = 2 % n, 1 % n, 1
-    for bit in bin(d)[2:]:
+def _lucas_v(P: int, k: int, n: int) -> tuple[int, int]:
+    """(V_k, V_(k+1)) mod n for the Lucas sequence with this P and Q = 1,
+    on builtin ints, for 0 <= P < n, k >= 0 and n >= 1."""
+    v, v1 = 2 % n, P
+    for bit in bin(k)[2:]:
         if bit == "1":  # k -> 2k + 1
-            v = (v * v1 - qk) % n
-            qk1 = qk * Q  # Q^(k+1); Q as given, so a small product
-            v1 = (v1 * v1 - 2 * qk1) % n
-            qk = qk * qk1 % n
+            v, v1 = (v * v1 - P) % n, (v1 * v1 - 2) % n
         else:  # k -> 2k
-            v1 = (v * v1 - qk) % n
-            v = (v * v - 2 * qk) % n
-            qk = qk * qk % n
-        if qk > half:
-            # the least absolute residue: for Selfridge's first choice,
-            # Q = -1, every Q^k product is then one of small numbers
-            qk -= n
-    return v, v1, qk % n
+            v, v1 = (v * v - 2) % n, (v * v1 - P) % n
+    return v, v1
 
 
 def lucas_chain(Q: int, d: int, n: int) -> tuple[int, int, int]:
     """(V_d, V_(d+1), Q^d) mod n for the Lucas sequence with P = 1 and
-    this Q, for any integer Q, d >= 0 and n >= 1."""
+    this Q, for d >= 0, n >= 1 and an integer Q prime to n."""
+    P = (pow(Q, -1, n) - 2) % n  # ValueError unless Q is prime to n
+    j = d >> 1
+    ladder = _lucas_v
     if n & 1 and n.bit_length() >= LUCAS_CROSSOVER_BITS:
         native = kernel()
         if native is not None:
-            return native.lucas_chain(Q, d, n)
-    return _lucas_chain(Q, d, n)
+            ladder = native.lucas_v
+    w, w1 = ladder(P, j, n)
+    qj = 1 if abs(Q) == 1 else powmod(abs(Q) % n, j, n)
+    if Q < 0 and j & 1:
+        qj = -qj
+    qj1 = qj * Q % n  # Q^(j+1)
+    if d & 1:
+        return qj1 * (w + w1) % n, qj1 * w1 % n, qj * qj1 % n
+    return qj * w % n, qj1 * (w + w1) % n, qj * qj % n

@@ -54,7 +54,8 @@ Only where a hit can be does the search run Miller-Rabin:
   ``modexp.CROSSOVER_BITS`` bits (8x faster than builtin ``pow`` at
   1243 bits), builtin ``pow`` below that and wherever the library does
   not open.  The strong Lucas test is one ``modexp.lucas_chain``, a
-  Lucas V ladder on OpenSSL Montgomery numbers for moduli of at least
+  Lucas V ladder with Q = 1 whatever Selfridge's Q, on OpenSSL
+  Montgomery numbers for moduli of at least
   ``modexp.LUCAS_CROSSOVER_BITS`` bits and on builtin ints elsewhere.
   Both backends give the same values, so verdicts, witnesses and
   certificates do not depend on the platform.  The library is opened at
@@ -193,6 +194,12 @@ def _strong_lucas(n: int):
     V_(d 2^r) = 0 mod n for some 0 <= r < s2.  ``modexp.lucas_chain``
     gives V_d, V_(d+1) and Q^d; as D U_d = 2 V_(d+1) - V_d and D is a
     unit mod n once (D|n) = -1, U_d = 0 exactly when 2 V_(d+1) = V_d.
+
+    The chain needs Q prime to n, and for an odd n the D search ensures
+    it.  Let a prime f divide Q and n; then f <= |Q| < |D|.  For f = 3
+    the search met D' = 9 before D, and (9|n) = 0 ends it unless n = 9,
+    a square.  For f >= 5 it met D' = +-f, and (D'|n) = 0 ends it unless
+    n = f; but then D = 1 - 4Q = 1 mod n and (D|n) = 1, not -1.
     """
     s = math.isqrt(n)
     if s * s == n:

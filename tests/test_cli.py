@@ -267,6 +267,20 @@ def test_workers_above_the_cpu_count_are_a_usage_error(tmp_path, capsys, monkeyp
     assert not out.exists()
 
 
+def test_workers_without_libcrypto_warn_and_write_the_one_worker_bytes(
+    tmp_path, capsys, monkeypatch
+):
+    monkeypatch.setattr(modexp, "_kernel", None)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    one, two = tmp_path / "w1.json", tmp_path / "w2.json"
+    assert run(["construct", "--prime", "13", "--out", str(one)]) == 0
+    assert capsys.readouterr().err == ""
+    assert run(["construct", "--prime", "13", "--workers", "2", "--out", str(two)]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("warning: --workers"), err
+    assert two.read_bytes() == one.read_bytes()
+
+
 REFERENCE_DIGESTS = (
     Path(__file__).resolve().parents[1] / "perfbench" / "data" / "inputs.json"
 )

@@ -124,18 +124,24 @@ def reference_lucas(D, d, n):
     return u, v, qk
 
 
+def selfridge_d(n):
+    """(j, D): Selfridge's D for a non-square n, with j = -1 when
+    (D|n) = -1 and j = 0 when D shares a factor with n first."""
+    D = 5
+    while True:
+        j = prime_search._jacobi(D, n)
+        if j == -1 or (j == 0 and abs(D) != n):
+            return j, D
+        D = -D - 2 if D > 0 else -D + 2
+
+
 def reference_strong_lucas(n):
     s = math.isqrt(n)
     if s * s == n:
         return False, 0
-    D = 5
-    while True:
-        j = prime_search._jacobi(D, n)
-        if j == -1:
-            break
-        if j == 0 and abs(D) != n:
-            return False, D
-        D = -D - 2 if D > 0 else -D + 2
+    j, D = selfridge_d(n)
+    if j == 0:
+        return False, D
     s2 = int_valuation(n + 1, 2)
     u, v, qk = reference_lucas(D, (n + 1) >> s2, n)
     if u == 0 or v == 0:
@@ -176,15 +182,59 @@ def test_strong_lucas_matches_the_reference(modexp_path, part):
         assert (passed, D) == reference_strong_lucas(n), n
         if D == 0:
             continue
+        Q = (1 - D) // 4
         # the chain against the U/V loop: V_d and Q^d agree, and
         # 2 V_(d+1) - V_d = D U_d
         d = (n + 1) >> int_valuation(n + 1, 2)
         u, v, qk = reference_lucas(D, d, n)
-        chain = modexp.lucas_chain((1 - D) // 4, d, n)
+        chain = modexp.lucas_chain(Q, d, n)
         assert chain[0] == v and chain[2] == qk and (2 * chain[1] - v - D * u) % n == 0, n
         if modexp_path == "native":
-            # the native ladder itself, also below the crossover
-            assert native.lucas_chain((1 - D) // 4, d, n) == chain, n
+            # the native W ladder itself, also below the crossover
+            P = (pow(Q, -1, n) - 2) % n
+            assert native.lucas_v(P, d >> 1, n) == modexp._lucas_v(P, d >> 1, n), n
+
+
+def test_selfridge_q_is_prime_to_n():
+    # lucas_chain raises on a Q that shares a factor with n; the D search
+    # never picks one, as the _strong_lucas docstring proves
+    for n in range(3, 10**5, 2):
+        if math.isqrt(n) ** 2 == n:
+            continue
+        j, D = selfridge_d(n)
+        if j == -1:
+            assert math.gcd((1 - D) // 4, n) == 1, n
+
+
+def test_both_w_ladders_follow_the_recurrence_on_small_n(modexp_path):
+    # the native ladder is called directly, far below its crossover
+    ladder = modexp.kernel().lucas_v if modexp_path == "native" else modexp._lucas_v
+    for n in range(1, 60):
+        if modexp_path == "native" and (n % 2 == 0 or n == 1):
+            continue  # Montgomery arithmetic takes an odd n > 1
+        for P in range(n):
+            w = [2 % n, P]
+            for _ in range(20):
+                w.append((P * w[-1] - w[-2]) % n)
+            for k in range(20):
+                assert ladder(P, k, n) == (w[k], w[k + 1]), (P, k, n)
+
+
+def test_lucas_chain_follows_the_recurrence_on_small_n(modexp_path, monkeypatch):
+    # every odd n > 1 takes the native ladder on the native path
+    monkeypatch.setattr(modexp, "LUCAS_CROSSOVER_BITS", 2)
+    for n in range(1, 120):
+        for Q in (-5, -3, -2, -1, 1, 2, 3, 4, 7):
+            if math.gcd(Q, n) > 1:
+                with pytest.raises(ValueError):
+                    modexp.lucas_chain(Q, 5, n)
+                continue
+            v = [2, 1]
+            for _ in range(24):
+                v.append(v[-1] - Q * v[-2])
+            for d in range(24):
+                chain = (v[d] % n, v[d + 1] % n, pow(Q, d, n))
+                assert modexp.lucas_chain(Q, d, n) == chain, (Q, d, n)
 
 
 # above the native crossover: a prime, and an even n, which Montgomery
@@ -192,6 +242,11 @@ def test_strong_lucas_matches_the_reference(modexp_path, part):
 @pytest.mark.parametrize("n", [2**1279 - 1, 2**1280 + 6], ids=["prime", "even"])
 def test_lucas_chain_follows_the_recurrence(modexp_path, n):
     for Q in (-1, 0, 2, -3, 10**30, -(10**30)):
+        if Q == 0 or (n % 2 == 0 and Q % 2 == 0):
+            # Q shares a factor with n
+            with pytest.raises(ValueError):
+                modexp.lucas_chain(Q, 10, n)
+            continue
         v = [2, 1]
         for _ in range(11):
             v.append(v[-1] - Q * v[-2])
@@ -220,7 +275,7 @@ def test_kernel_is_unavailable_when_libcrypto_does_not_open(monkeypatch):
 def test_kernel_is_unavailable_when_a_symbol_is_missing(monkeypatch):
     for symbol in ("BN_mod_exp", "BN_MONT_CTX_new", "BN_MONT_CTX_set",
                    "BN_MONT_CTX_free", "BN_to_montgomery", "BN_mod_mul_montgomery",
-                   "BN_mod_sub_quick", "BN_mod_lshift1_quick"):
+                   "BN_mod_sub_quick"):
 
         class Missing:
             """A library that has every BN function but one."""
@@ -300,10 +355,6 @@ class FakeLibcrypto:
             live[r] = (live[a] - live[b]) % live[m]
             return 1
 
-        def lshift1_quick(r, a, m):
-            live[r] = 2 * live[a] % live[m]
-            return 1
-
         self.BN_CTX_new = new("BN_CTX_new", "ctx")
         self.BN_CTX_free = free
         self.BN_new = lambda: alloc(0)
@@ -318,7 +369,6 @@ class FakeLibcrypto:
         self.BN_to_montgomery = to_mont
         self.BN_mod_mul_montgomery = mul_mont
         self.BN_mod_sub_quick = sub_quick
-        self.BN_mod_lshift1_quick = lshift1_quick
 
 
 @pytest.mark.parametrize(
@@ -346,12 +396,12 @@ def test_kernel_raises_on_a_failed_call_and_frees_everything(failing, error):
 def test_lucas_chain_raises_on_a_failed_call_and_frees_everything(failing, error):
     lib = FakeLibcrypto(failing)
     native = libcrypto.Libcrypto(lib)
-    n, Q, d = 10007, 2, 5003
+    n, P, k = 10007, 5001, 2501
     if error is None:
-        assert native.lucas_chain(Q, d, n) == modexp._lucas_chain(Q, d, n)
+        assert native.lucas_v(P, k, n) == modexp._lucas_v(P, k, n)
     else:
         with pytest.raises(error):
-            native.lucas_chain(Q, d, n)
+            native.lucas_v(P, k, n)
     assert lib.live == {}
 
 
