@@ -3,28 +3,3 @@ mod-p Galois representations have cyclic decomposition groups at every
 prime, for a chosen prime p >= 5."""
 
 __version__ = "0.1.0"
-
-from .padic import PadicInt, from_rational, hensel_lift
-from .tate_series import TateBundle, build_bundle
-from .curve_model import CurveModel, ReductionType
-from .target_builder import CongruenceTarget, LinearFormTriple
-from .prime_search import SearchConfig, PrimalityEvidence, is_prime
-from .certificate import Certificate, verify_certificate
-
-__all__ = [
-    "PadicInt",
-    "from_rational",
-    "hensel_lift",
-    "TateBundle",
-    "build_bundle",
-    "CurveModel",
-    "ReductionType",
-    "CongruenceTarget",
-    "LinearFormTriple",
-    "SearchConfig",
-    "PrimalityEvidence",
-    "is_prime",
-    "Certificate",
-    "verify_certificate",
-    "__version__",
-]

@@ -1,7 +1,7 @@
 """OpenSSL's BIGNUM arithmetic on Python integers, through ``ctypes``.
 
 The native kernel behind ``modexp``: ``BN_mod_exp`` for ``powmod``, and
-the Q = 1 Lucas V ladder of ``lucas_chain`` on Montgomery numbers
+the Q = 1 Lucas V ladder of ``lucas_v`` on Montgomery numbers
 (``BN_mod_mul_montgomery`` and ``BN_mod_sub_quick``).  Every BIGNUM,
 BN_CTX and BN_MONT_CTX a call allocates is freed in a ``finally``; a
 NULL allocation raises ``MemoryError`` and a failed operation

@@ -7,23 +7,14 @@ does not match at the search's sizes: at 1243 bits ``pow`` takes about
 7.7 ms and ``BN_mod_exp`` about 0.9 ms.  Below the crossover the cost of
 moving the numbers into OpenSSL outweighs the gain, and ``pow`` runs.
 
-``lucas_chain(Q, d, n)`` gives (V_d, V_(d+1), Q^d) mod n for the Lucas
-sequence with P = 1: V_0 = 2, V_1 = 1, V_(k+1) = V_k - Q V_(k-1), for Q
-prime to n.  It runs one ladder, the same for every Q, on the sequence
-with Q = 1 whose roots are a^2/Q and b^2/Q (a and b the roots of
-x^2 - x + Q), that is W_k = V_k(P', 1) with P' = 1/Q - 2 mod n:
+``lucas_v(P, k, n)`` gives (W_k, W_(k+1)) mod n for the Lucas sequence
+with this P and Q = 1, W_k = V_k(P, 1), by the ladder
 
-    W_0 = 2,  W_1 = P',  W_2k = W_k^2 - 2,  W_(2k+1) = W_k W_(k+1) - P',
+    W_0 = 2,  W_1 = P,  W_2k = W_k^2 - 2,  W_(2k+1) = W_k W_(k+1) - P,
 
-two products and two subtractions per bit of j = floor(d/2), with no
-power of Q to carry.  As W_k = V_2k / Q^k and W_k + W_(k+1) =
-V_(2k+1) / Q^(k+1), both identities over Z[1/Q], the chain is then
-
-    d = 2j:      V_d = Q^j W_j,              V_(d+1) = Q^(j+1) (W_j + W_(j+1)),
-    d = 2j + 1:  V_d = Q^(j+1) (W_j + W_(j+1)),  V_(d+1) = Q^(j+1) W_(j+1),
-
-with Q^j one ``powmod`` of |Q| (and 1 when |Q| = 1).  Dividing by Q
-needs gcd(Q, n) = 1, so ``lucas_chain`` raises ``ValueError`` otherwise.
+two products and two subtractions per bit of k.  The strong Lucas test
+runs it with P = 1/Q - 2 mod n for every Selfridge Q, and reads its
+verdict from W alone (``prime_search._strong_lucas``).
 
 For an odd n of at least ``LUCAS_CROSSOVER_BITS`` bits the W ladder runs
 on OpenSSL Montgomery numbers (``BN_mod_mul_montgomery`` and
@@ -48,10 +39,12 @@ CROSSOVER_BITS = 100
 # the bit size of n from which the W ladder on OpenSSL Montgomery
 # numbers beats the one on builtin ints.  A step costs four ctypes calls
 # of about 1 us each, nearly whatever the size, against two builtin
-# products that grow with it.  Measured on the same VM, lucas_chain with
-# Q = -1, 2, 3, -3 on random odd n, builtin time over native time
-# (median of 6-16 chains): 0.6-0.7x at 400-450 bits, 0.8-1.0x at
-# 485-525, 1.0x at 550-600, 1.1-1.2x at 640-700 and 2.0-3.0x at 1243
+# products that grow with it.  Measured on the same VM, lucas_v as the
+# strong Lucas test runs it (k = floor(d/2) for d the odd part of n + 1,
+# P = 1/Q - 2 for Q = -1, 2, 3, -3) on four random odd n per size, the
+# builtin ladder's time over the native one's (median, each time the
+# best of 7 x 4 calls): 0.6x at 400-450 bits, 0.8-0.9x at 500-525, 1.0x
+# at 550-600, 1.2x at 700 and 2.4x at 1243
 LUCAS_CROSSOVER_BITS = 550
 
 _UNOPENED = object()
@@ -90,21 +83,11 @@ def _lucas_v(P: int, k: int, n: int) -> tuple[int, int]:
     return v, v1
 
 
-def lucas_chain(Q: int, d: int, n: int) -> tuple[int, int, int]:
-    """(V_d, V_(d+1), Q^d) mod n for the Lucas sequence with P = 1 and
-    this Q, for d >= 0, n >= 1 and an integer Q prime to n."""
-    P = (pow(Q, -1, n) - 2) % n  # ValueError unless Q is prime to n
-    j = d >> 1
-    ladder = _lucas_v
+def lucas_v(P: int, k: int, n: int) -> tuple[int, int]:
+    """(V_k, V_(k+1)) mod n for the Lucas sequence with this P and Q = 1,
+    for 0 <= P < n, k >= 0 and n >= 1."""
     if n & 1 and n.bit_length() >= LUCAS_CROSSOVER_BITS:
         native = kernel()
         if native is not None:
-            ladder = native.lucas_v
-    w, w1 = ladder(P, j, n)
-    qj = 1 if abs(Q) == 1 else powmod(abs(Q) % n, j, n)
-    if Q < 0 and j & 1:
-        qj = -qj
-    qj1 = qj * Q % n  # Q^(j+1)
-    if d & 1:
-        return qj1 * (w + w1) % n, qj1 * w1 % n, qj * qj1 % n
-    return qj * w % n, qj1 * (w + w1) % n, qj * qj % n
+            return native.lucas_v(P, k, n)
+    return _lucas_v(P, k, n)

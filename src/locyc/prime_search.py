@@ -53,10 +53,11 @@ Only where a hit can be does the search run Miller-Rabin:
   or ``libcrypto.so.1.1`` for moduli of at least
   ``modexp.CROSSOVER_BITS`` bits (8x faster than builtin ``pow`` at
   1243 bits), builtin ``pow`` below that and wherever the library does
-  not open.  The strong Lucas test is one ``modexp.lucas_chain``, a
-  Lucas V ladder with Q = 1 whatever Selfridge's Q, on OpenSSL
-  Montgomery numbers for moduli of at least
-  ``modexp.LUCAS_CROSSOVER_BITS`` bits and on builtin ints elsewhere.
+  not open.  The strong Lucas test is one ``modexp.lucas_v``, a Lucas
+  V ladder with Q = 1 whatever Selfridge's Q, whose two values give the
+  verdict with no power of Q.  The ladder runs on OpenSSL Montgomery
+  numbers for moduli of at least ``modexp.LUCAS_CROSSOVER_BITS`` bits
+  and on builtin ints elsewhere.
   Both backends give the same values, so verdicts, witnesses and
   certificates do not depend on the platform.  The library is opened at
   the first large call, not at import, so a small construct and
@@ -191,15 +192,26 @@ def _strong_lucas(n: int):
     Returns (passed, D) so the chosen discriminant can be recorded.
     Perfect squares are rejected before the D search.  With P = 1,
     Q = (1 - D)/4 and n + 1 = d 2^s2, n passes when U_d = 0 or
-    V_(d 2^r) = 0 mod n for some 0 <= r < s2.  ``modexp.lucas_chain``
-    gives V_d, V_(d+1) and Q^d; as D U_d = 2 V_(d+1) - V_d and D is a
-    unit mod n once (D|n) = -1, U_d = 0 exactly when 2 V_(d+1) = V_d.
+    V_(d 2^r) = 0 mod n for some 0 <= r < s2.
 
-    The chain needs Q prime to n, and for an odd n the D search ensures
-    it.  Let a prime f divide Q and n; then f <= |Q| < |D|.  For f = 3
-    the search met D' = 9 before D, and (9|n) = 0 ends it unless n = 9,
-    a square.  For f >= 5 it met D' = +-f, and (D'|n) = 0 ends it unless
-    n = f; but then D = 1 - 4Q = 1 mod n and (D|n) = 1, not -1.
+    The test runs ``modexp.lucas_v`` on the sequence with Q = 1 whose
+    roots are a^2/Q and b^2/Q (a and b the roots of x^2 - x + Q), that
+    is W_k = V_k(P', 1) with P' = 1/Q - 2 mod n, and V_2k = Q^k W_k.
+    D and Q are units mod n (below), and d = 2j + 1 is odd, so with
+    W_j and W_(j+1):
+
+    - V_d = Q^(j+1) (W_j + W_(j+1)), so V_d = 0 exactly when
+      W_j + W_(j+1) = 0;
+    - D U_d = 2 V_(d+1) - V_d = Q^(j+1) (W_(j+1) - W_j), so U_d = 0
+      exactly when W_j = W_(j+1);
+    - for 1 <= r < s2, V_(d 2^r) = Q^(d 2^(r-1)) W_(d 2^(r-1)), so the
+      tail starts at W_d = W_j W_(j+1) - P' and squares w -> w^2 - 2.
+
+    D is a unit once (D|n) = -1.  Q is prime to n for an odd n, by the
+    D search.  Let a prime f divide Q and n; then f <= |Q| < |D|.  For
+    f = 3 the search met D' = 9 before D, and (9|n) = 0 ends it unless
+    n = 9, a square.  For f >= 5 it met D' = +-f, and (D'|n) = 0 ends it
+    unless n = f; but then D = 1 - 4Q = 1 mod n and (D|n) = 1, not -1.
     """
     s = math.isqrt(n)
     if s * s == n:
@@ -212,17 +224,17 @@ def _strong_lucas(n: int):
         if j == 0 and abs(D) != n:
             return False, D
         D = -D - 2 if D > 0 else -D + 2
-    Q = (1 - D) // 4
+    P = (pow((1 - D) // 4, -1, n) - 2) % n  # P' = 1/Q - 2
     s2 = int_valuation(n + 1, 2)
     d = (n + 1) >> s2
-    v, v1, qk = modexp.lucas_chain(Q, d, n)
-    if v == 0 or (2 * v1 - v) % n == 0:
+    w, w1 = modexp.lucas_v(P, d >> 1, n)
+    if w == w1 or (w + w1) % n == 0:
         return True, D
+    w = (w * w1 - P) % n
     for _ in range(s2 - 1):
-        v = (v * v - 2 * qk) % n
-        if v == 0:
+        if w == 0:
             return True, D
-        qk = qk * qk % n
+        w = (w * w - 2) % n
     return False, D
 
 

@@ -170,7 +170,10 @@ def lucas_corpus(part):
         # below 128, then the prime k up to 1277
         mersenne = [2**k - 1 for k in range(2, 1278)
                     if k < 128 or is_prime(k).is_prime_enough()]
-        return pseudoprimes + squares + mersenne
+        # d = 3 and d = 5, so j = 1 and 2, with a tail of k - 1 squarings
+        # (k = 0 gives an even n)
+        long_tails = [c * 2**k - 1 for c in (3, 5) for k in range(1, 300)]
+        return pseudoprimes + squares + mersenne + long_tails
     raise ValueError(part)
 
 
@@ -180,24 +183,26 @@ def test_strong_lucas_matches_the_reference(modexp_path, part):
     for n in lucas_corpus(part):
         passed, D = prime_search._strong_lucas(n)
         assert (passed, D) == reference_strong_lucas(n), n
-        if D == 0:
-            continue
-        Q = (1 - D) // 4
-        # the chain against the U/V loop: V_d and Q^d agree, and
-        # 2 V_(d+1) - V_d = D U_d
+        if D == 0 or selfridge_d(n)[0] == 0:
+            continue  # a square, or a D that shares a factor with n
+        # each criterion on its own against the U/V loop, so that two
+        # errors cannot cancel in the verdict: U_d = 0 iff W_j = W_(j+1),
+        # V_d = 0 iff W_j + W_(j+1) = 0, and V_2d = 0 iff W_d = 0
         d = (n + 1) >> int_valuation(n + 1, 2)
         u, v, qk = reference_lucas(D, d, n)
-        chain = modexp.lucas_chain(Q, d, n)
-        assert chain[0] == v and chain[2] == qk and (2 * chain[1] - v - D * u) % n == 0, n
+        P = (pow((1 - D) // 4, -1, n) - 2) % n
+        w, w1 = modexp.lucas_v(P, d >> 1, n)
+        assert (u == 0) == (w == w1), n
+        assert (v == 0) == ((w + w1) % n == 0), n
+        assert ((v * v - 2 * qk) % n == 0) == ((w * w1 - P) % n == 0), n
         if modexp_path == "native":
             # the native W ladder itself, also below the crossover
-            P = (pow(Q, -1, n) - 2) % n
             assert native.lucas_v(P, d >> 1, n) == modexp._lucas_v(P, d >> 1, n), n
 
 
 def test_selfridge_q_is_prime_to_n():
-    # lucas_chain raises on a Q that shares a factor with n; the D search
-    # never picks one, as the _strong_lucas docstring proves
+    # P' = 1/Q - 2 needs Q prime to n; the D search never picks a Q that
+    # shares a factor with n, as the _strong_lucas docstring proves
     for n in range(3, 10**5, 2):
         if math.isqrt(n) ** 2 == n:
             continue
@@ -206,57 +211,38 @@ def test_selfridge_q_is_prime_to_n():
             assert math.gcd((1 - D) // 4, n) == 1, n
 
 
-def test_both_w_ladders_follow_the_recurrence_on_small_n(modexp_path):
-    # the native ladder is called directly, far below its crossover
-    ladder = modexp.kernel().lucas_v if modexp_path == "native" else modexp._lucas_v
-    for n in range(1, 60):
-        if modexp_path == "native" and (n % 2 == 0 or n == 1):
-            continue  # Montgomery arithmetic takes an odd n > 1
-        for P in range(n):
-            w = [2 % n, P]
-            for _ in range(20):
-                w.append((P * w[-1] - w[-2]) % n)
-            for k in range(20):
-                assert ladder(P, k, n) == (w[k], w[k + 1]), (P, k, n)
-
-
-def test_lucas_chain_follows_the_recurrence_on_small_n(modexp_path, monkeypatch):
-    # every odd n > 1 takes the native ladder on the native path
+def test_both_w_ladders_follow_the_recurrence_on_small_n(modexp_path, monkeypatch):
+    # with the crossover at 2 bits, lucas_v takes the native ladder for
+    # every odd n > 1 on the native path, and the builtin one for n = 1
+    # and every even n; above the real crossover, a prime and an even n
     monkeypatch.setattr(modexp, "LUCAS_CROSSOVER_BITS", 2)
-    for n in range(1, 120):
-        for Q in (-5, -3, -2, -1, 1, 2, 3, 4, 7):
-            if math.gcd(Q, n) > 1:
-                with pytest.raises(ValueError):
-                    modexp.lucas_chain(Q, 5, n)
-                continue
-            v = [2, 1]
-            for _ in range(24):
-                v.append(v[-1] - Q * v[-2])
-            for d in range(24):
-                chain = (v[d] % n, v[d + 1] % n, pow(Q, d, n))
-                assert modexp.lucas_chain(Q, d, n) == chain, (Q, d, n)
-
-
-# above the native crossover: a prime, and an even n, which Montgomery
-# arithmetic cannot take
-@pytest.mark.parametrize("n", [2**1279 - 1, 2**1280 + 6], ids=["prime", "even"])
-def test_lucas_chain_follows_the_recurrence(modexp_path, n):
-    for Q in (-1, 0, 2, -3, 10**30, -(10**30)):
-        if Q == 0 or (n % 2 == 0 and Q % 2 == 0):
-            # Q shares a factor with n
-            with pytest.raises(ValueError):
-                modexp.lucas_chain(Q, 10, n)
-            continue
-        v = [2, 1]
-        for _ in range(11):
-            v.append(v[-1] - Q * v[-2])
-        for d in (0, 1, 2, 3, 10, 2**64 + 7):
-            chain = modexp.lucas_chain(Q, d, n)
-            if d <= 10:
-                assert chain == (v[d] % n, v[d + 1] % n, pow(Q, d, n)), (Q, d)
-            assert chain[2] == pow(Q, d, n), (Q, d)
-            # the ladder on d + 1 starts where this one ends
-            assert modexp.lucas_chain(Q, d + 1, n)[0] == chain[1], (Q, d)
+    ran = []
+    builtin, native = modexp._lucas_v, libcrypto.Libcrypto.lucas_v
+    monkeypatch.setattr(modexp, "_lucas_v",
+                        lambda *args: ran.append("builtin") or builtin(*args))
+    monkeypatch.setattr(libcrypto.Libcrypto, "lucas_v",
+                        lambda *args: ran.append("native") or native(*args))
+    for n in [*range(1, 60), 2**1279 - 1, 2**1280 + 6]:
+        if n < 60:
+            Ps, ks = range(n), range(20)
+        else:
+            # P' = 1/Q - 2 for Selfridge Qs and a large Q prime to n
+            Qs = (-1, 2, -3, -(10**30) - 1)
+            Ps = [(pow(Q, -1, n) - 2) % n for Q in Qs if math.gcd(Q, n) == 1]
+            ks = range(11)
+        ran.clear()
+        for P in Ps:
+            w = [2 % n, P]
+            for _ in ks:
+                w.append((P * w[-1] - w[-2]) % n)
+            for k in ks:
+                assert modexp.lucas_v(P, k, n) == (w[k], w[k + 1]), (P, k, n)
+            if n >= 60:
+                for k in (0, 1, 2, 3, 10, 2**64 + 7):
+                    # the ladder on k + 1 starts where this one ends
+                    assert modexp.lucas_v(P, k + 1, n)[0] == modexp.lucas_v(P, k, n)[1]
+        odd = n % 2 == 1 and n > 1
+        assert set(ran) == {"native" if modexp_path == "native" and odd else "builtin"}, n
 
 
 def test_kernel_is_unavailable_when_libcrypto_does_not_open(monkeypatch):
@@ -393,7 +379,7 @@ def test_kernel_raises_on_a_failed_call_and_frees_everything(failing, error):
      ("BN_bin2bn", MemoryError), ("BN_MONT_CTX_set", ArithmeticError),
      ("BN_mod_mul_montgomery", ArithmeticError)],
 )
-def test_lucas_chain_raises_on_a_failed_call_and_frees_everything(failing, error):
+def test_lucas_v_raises_on_a_failed_call_and_frees_everything(failing, error):
     lib = FakeLibcrypto(failing)
     native = libcrypto.Libcrypto(lib)
     n, P, k = 10007, 5001, 2501
@@ -752,23 +738,6 @@ def test_search_hit_at_p13_does_not_depend_on_the_sieve_bound():
         assert search(forms, target, old) == search(forms, target, config), seed
 
 
-def test_pool_examines_the_whole_d_range_like_one_worker(target5):
-    # no hit in this range, so every d is examined and the counters must
-    # match the one-worker search
-    forms = linear_forms(target5)
-    stats = []
-    for workers in (1, 2, 3):
-        config = SearchConfig(
-            seed=1, d_range=64, x_window=16, sieve_bound=30, worker_count=workers
-        )
-        with pytest.raises(BudgetExhaustedError) as info:
-            search(forms, target5, config)
-        s = info.value.stats
-        stats.append((s.d_examined, s.q3_primes, s.survivors_tested, s.tests_used))
-    assert stats[0][0] == 64 and stats[0][1] > 0 and stats[0][2] > 0
-    assert stats[1] == stats[0] and stats[2] == stats[0]
-
-
 @pytest.mark.parametrize(
     "config, stop",
     [
@@ -880,49 +849,15 @@ def test_default_sieve_bound_grows_with_bit_size(target5):
     assert default_sieve_bound(forms5, 4096) == prime_search._TRIAL_BOUND
 
 
-def test_search_reproducible_and_valid(target5):
-    forms = linear_forms(target5)
-    cfg = SearchConfig(seed=1)
-    x0, y0, ev = search(forms, target5, cfg)
-    x1, y1, _ = search(forms, target5, cfg)
-    assert (x0, y0) == (x1, y1)
-    assert all(e.is_prime_enough() for e in ev)
-    # exact divisibility chain at the found point
-    assert forms.q1_at(x0) - forms.q2_at(y0) == 16 * 5**5 * forms.q3_at(x0 - y0)
-
-
-def test_search_worker_count_does_not_change_answer(target5):
-    forms = linear_forms(target5)
-    seq = search(forms, target5, SearchConfig(seed=7, worker_count=1))
-    par = search(forms, target5, SearchConfig(seed=7, worker_count=3))
-    assert seq[:2] == par[:2]
-    assert seq[2] == par[2]
-
-
-def test_search_seed_changes_exploration(target5):
-    forms = linear_forms(target5)
-    a = search(forms, target5, SearchConfig(seed=1))
-    b = search(forms, target5, SearchConfig(seed=2))
-    # both valid; not required to differ, but both must check out
-    for x0, y0, ev in (a, b):
-        assert all(e.is_prime_enough() for e in ev)
-
-
 def test_zero_budget_exhausts(target5):
     forms = linear_forms(target5)
-    with pytest.raises(BudgetExhaustedError) as info:
-        search(forms, target5, SearchConfig(seed=1, budget=0))
-    stats = info.value.stats
-    assert stats.tests_used == 0
-    assert stats.survivors_tested == 0
-    assert "budget exhausted" in str(info.value)
-
-
-def test_tiny_budget_reports_statistics(target5):
-    forms = linear_forms(target5)
-    with pytest.raises(BudgetExhaustedError) as info:
-        search(forms, target5, SearchConfig(seed=1, budget=1, d_range=3))
-    assert info.value.stats.tests_used >= 1
+    for budget in (0, 1):
+        with pytest.raises(BudgetExhaustedError, match="budget exhausted") as info:
+            search(forms, target5, SearchConfig(seed=1, budget=budget, d_range=3))
+        stats = info.value.stats
+        assert stats.tests_used >= budget
+        if budget == 0:
+            assert stats.tests_used == stats.survivors_tested == 0
 
 
 def test_end_of_d_range_is_not_reported_as_budget_exhaustion(target5):
