@@ -259,9 +259,10 @@ def test_kernel_is_unavailable_when_libcrypto_does_not_open(monkeypatch):
 
 
 def test_kernel_is_unavailable_when_a_symbol_is_missing(monkeypatch):
-    for symbol in ("BN_mod_exp", "BN_MONT_CTX_new", "BN_MONT_CTX_set",
-                   "BN_MONT_CTX_free", "BN_to_montgomery", "BN_mod_mul_montgomery",
-                   "BN_mod_sub_quick"):
+    for symbol in ("BN_CTX_start", "BN_CTX_get", "BN_CTX_end", "BN_bn2binpad",
+                   "BN_mod_exp", "BN_MONT_CTX_new", "BN_MONT_CTX_set",
+                   "BN_MONT_CTX_free", "BN_to_montgomery", "BN_from_montgomery",
+                   "BN_mod_mul_montgomery", "BN_mod_sub_quick"):
 
         class Missing:
             """A library that has every BN function but one."""
@@ -275,120 +276,81 @@ def test_kernel_is_unavailable_when_a_symbol_is_missing(monkeypatch):
         assert libcrypto.open_kernel() is None, symbol
 
 
-class FakeLibcrypto:
-    """OpenSSL's BN functions on Python ints, Montgomery numbers with
-    R = 2^64.  The one named ``failing`` fails, BN_bin2bn and
-    BN_mod_mul_montgomery on their second call; ``live`` holds what is
-    still allocated."""
+NOTHING_LIVE = {"BN_CTX": 0, "frame": 0, "BN_MONT_CTX": 0}
 
-    R = 2**64
 
-    def __init__(self, failing=None):
-        live = self.live = {}
-        handles = iter(range(1, 100))
-        calls = []
+def faulty_kernel(failing=None, on_call=0):
+    """A fresh native kernel whose bound function ``failing`` returns 0
+    (NULL, or failure) on its on_call-th call, that function's call
+    count, and the live BN_CTXs, BN_CTX frames and BN_MONT_CTXs."""
+    native = libcrypto.open_kernel()
+    if native is None:
+        pytest.skip("libcrypto is not available here")
+    live = dict(NOTHING_LIVE)
+    calls = [0]
 
-        def alloc(value):
-            handle = next(handles)
-            live[handle] = value
-            return handle
+    def counted(name, kind, step):
+        fn = getattr(native, name)
 
-        def free(handle):
-            if handle:  # freeing NULL does nothing
-                del live[handle]
+        def call(*args):
+            result = fn(*args)
+            # a NULL from a _new allocated nothing, and freeing NULL frees nothing
+            live[kind] += step * bool(args[0] if args else result)
+            return result
 
-        def new(name, value):
-            return lambda: None if failing == name else alloc(value)
+        setattr(native, name, call)
 
-        def second_call_fails(name):
-            calls.append(name)
-            return failing == name and calls.count(name) == 2
+    for kind in ("BN_CTX", "BN_MONT_CTX"):
+        counted(kind + "_new", kind, 1)
+        counted(kind + "_free", kind, -1)
+    counted("BN_CTX_start", "frame", 1)
+    counted("BN_CTX_end", "frame", -1)
+    if failing is not None:
+        fn = getattr(native, failing)
 
-        def bin2bn(data, size, ret):
-            if second_call_fails("BN_bin2bn"):
-                return None
-            return alloc(int.from_bytes(data[:size], "big"))
+        def fail_once(*args):
+            calls[0] += 1
+            return 0 if calls[0] == on_call else fn(*args)
 
-        def mod_exp(r, b, e, n, ctx):
-            if failing == "BN_mod_exp":
-                return 0
-            live[r] = pow(live[b], live[e], live[n])
-            return 1
+        setattr(native, failing, fail_once)
+    return native, calls, live
 
-        def bn2bin(bn, out):
-            data = live[bn].to_bytes((live[bn].bit_length() + 7) // 8, "big")
-            ctypes.memmove(out, data, len(data))
-            return len(data)
 
-        def mont_set(mont, n, ctx):
-            if failing == "BN_MONT_CTX_set":
-                return 0
-            live[mont] = live[n]
-            return 1
-
-        def to_mont(r, a, mont, ctx):
-            live[r] = live[a] * self.R % live[mont]
-            return 1
-
-        def mul_mont(r, a, b, mont, ctx):
-            if second_call_fails("BN_mod_mul_montgomery"):
-                return 0
-            n = live[mont]
-            live[r] = live[a] * live[b] * pow(self.R, -1, n) % n
-            return 1
-
-        def sub_quick(r, a, b, m):
-            live[r] = (live[a] - live[b]) % live[m]
-            return 1
-
-        self.BN_CTX_new = new("BN_CTX_new", "ctx")
-        self.BN_CTX_free = free
-        self.BN_new = lambda: alloc(0)
-        self.BN_bin2bn = bin2bn
-        self.BN_mod_exp = mod_exp
-        self.BN_num_bits = lambda bn: live[bn].bit_length()
-        self.BN_bn2bin = bn2bin
-        self.BN_free = free
-        self.BN_MONT_CTX_new = new("BN_MONT_CTX_new", "mont")
-        self.BN_MONT_CTX_set = mont_set
-        self.BN_MONT_CTX_free = free
-        self.BN_to_montgomery = to_mont
-        self.BN_mod_mul_montgomery = mul_mont
-        self.BN_mod_sub_quick = sub_quick
+def fail_each_call(run, expected, failing, error):
+    """run(native) gives expected and releases everything; with failing
+    failing on any one of its calls, it raises error, naming failing, and
+    releases everything."""
+    native, calls, live = faulty_kernel(failing)
+    assert run(native) == expected and live == NOTHING_LIVE
+    assert (calls[0] > 0) == (failing is not None)
+    for on_call in range(1, calls[0] + 1):
+        native, _, live = faulty_kernel(failing, on_call)
+        with pytest.raises(error, match=failing):
+            run(native)
+        assert live == NOTHING_LIVE, on_call
 
 
 @pytest.mark.parametrize(
     "failing, error",
-    [(None, None), ("BN_CTX_new", MemoryError), ("BN_bin2bn", MemoryError),
-     ("BN_mod_exp", ArithmeticError)],
+    [(None, None), ("BN_CTX_new", MemoryError), ("BN_CTX_get", MemoryError),
+     ("BN_bin2bn", MemoryError), ("BN_mod_exp", ArithmeticError)],
 )
 def test_kernel_raises_on_a_failed_call_and_frees_everything(failing, error):
-    lib = FakeLibcrypto(failing)
-    native = libcrypto.Libcrypto(lib)
-    if error is None:
-        assert native.powmod(3, 5, 7) == pow(3, 5, 7)
-    else:
-        with pytest.raises(error):
-            native.powmod(3, 5, 7)
-    assert lib.live == {}
+    n = 2**127 - 1
+    fail_each_call(lambda native: native.powmod(3, n - 2, n), pow(3, n - 2, n),
+                   failing, error)
 
 
 @pytest.mark.parametrize(
     "failing, error",
     [(None, None), ("BN_CTX_new", MemoryError), ("BN_MONT_CTX_new", MemoryError),
-     ("BN_bin2bn", MemoryError), ("BN_MONT_CTX_set", ArithmeticError),
-     ("BN_mod_mul_montgomery", ArithmeticError)],
+     ("BN_CTX_get", MemoryError), ("BN_bin2bn", MemoryError),
+     ("BN_MONT_CTX_set", ArithmeticError), ("BN_mod_mul_montgomery", ArithmeticError)],
 )
 def test_lucas_v_raises_on_a_failed_call_and_frees_everything(failing, error):
-    lib = FakeLibcrypto(failing)
-    native = libcrypto.Libcrypto(lib)
     n, P, k = 10007, 5001, 2501
-    if error is None:
-        assert native.lucas_v(P, k, n) == modexp._lucas_v(P, k, n)
-    else:
-        with pytest.raises(error):
-            native.lucas_v(P, k, n)
-    assert lib.live == {}
+    fail_each_call(lambda native: native.lucas_v(P, k, n), modexp._lucas_v(P, k, n),
+                   failing, error)
 
 
 def test_importing_the_package_does_not_import_ctypes():
