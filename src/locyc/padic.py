@@ -7,8 +7,7 @@ and produce the minimum of the two precisions.  Exact division by p^k
 (``shift_down``) reduces the precision by k, which is the one place
 where digits are genuinely consumed rather than merely truncated.
 
-Only nonnegative valuations are representable.  Square roots are
-restricted to even-valuation inputs, so every result stays inside Z_p.
+Only nonnegative valuations are representable.
 """
 
 from __future__ import annotations
@@ -91,9 +90,6 @@ class PadicInt:
             self.prime, self.precision, pow(self.residue, k, self.modulus)
         )
 
-    def is_zero(self) -> bool:
-        return self.residue == 0
-
     def valuation(self):
         """Largest k <= precision with p^k dividing the residue.
 
@@ -156,9 +152,6 @@ class PadicInt:
             out.append(d)
         return out
 
-    def __str__(self):
-        return format_expansion(self, min(self.precision, 12))
-
 
 def int_valuation(n: int, p: int):
     """Exponent of p in the integer n; math.inf for n = 0."""
@@ -177,41 +170,6 @@ def from_rational(num: int, den: int, p: int, n: int) -> PadicInt:
         raise ValueError(f"denominator {den} divisible by {p}")
     m = p**n
     return PadicInt(p, n, num * pow(den, -1, m) % m)
-
-
-def sqrt(a: PadicInt, seed_mod_p: int) -> PadicInt:
-    """Square root picking the branch congruent to the seed.
-
-    The input must have even valuation 2m; the seed is a residue mod p
-    with seed^2 congruent to the unit part u of the input mod p.  The
-    simple root of t^2 - u in the seed's class is lifted by
-    ``hensel_lift``.  The result has precision N - m: the shift by p^m
-    eats m digits.  Requires odd p: at p = 2 the derivative 2t is never
-    a unit, so the lift's tau = 0 precondition cannot hold.
-    """
-    p = a.prime
-    if p == 2:
-        raise ValueError("square root implemented for odd p only")
-    if a.is_zero():
-        raise ValueError("square root of a zero residue is undetermined")
-    v = a.valuation()
-    if v % 2 != 0:
-        raise ValueError(f"odd valuation {v}: square root leaves Z_p")
-    m = v // 2
-    n_unit = a.precision - v
-    if n_unit < 1:
-        raise PrecisionError("no unit digits left after removing p^v")
-    u = (a.residue // p**v) % p**n_unit
-    seed = seed_mod_p % p
-    if (seed * seed - u) % p != 0:
-        if pow(u, (p - 1) // 2, p) != 1:
-            raise ValueError(f"unit part {u % p} is not a square mod {p}")
-        raise ValueError(
-            f"seed {seed} does not match the unit part mod {p}"
-        )
-    t = hensel_lift([-u, 0, 1], seed, p, j=1, tau=0, precision=n_unit)
-    out_prec = a.precision - m
-    return PadicInt(p, out_prec, (t.residue * p**m) % p**out_prec)
 
 
 def _poly_eval_mod(coeffs: Sequence[int], x: int, m: int) -> int:

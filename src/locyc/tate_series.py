@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .padic import PadicInt, from_rational, hensel_lift, sqrt
+from .padic import PadicInt, from_rational, hensel_lift
 
 
 def _h(z: int, modulus: int) -> int:
@@ -149,10 +149,6 @@ def build_bundle(p: int, precision: int | None = None) -> TateBundle:
     )
 
 
-class RootSeparationError(ArithmeticError):
-    """The cubic's congruent root pair did not split at level p^p."""
-
-
 def cubic_coefficients(p: int, precision: int) -> tuple[PadicInt, PadicInt]:
     """(A, B) of the depressed cubic x^3 + A x + B whose roots are the
     normalized 2-torsion x-coordinates: A = 16 a4 - 1/3 and
@@ -170,47 +166,31 @@ def oracle_cubic_roots(
 ) -> tuple[PadicInt, PadicInt, PadicInt]:
     """Roots of the normalized 2-torsion cubic, found without the series.
 
-    Mod p the cubic factors as (x + 2/3)(x - 1/3)^2.  The simple root
-    lifts by plain Newton; the congruent pair is split by the quadratic
-    formula, whose discriminant has valuation exactly 2p.  Internally p
-    extra guard digits are carried because the square root spends p of
-    them, so the three returned roots all hold the full requested
-    precision.  Ordering: the root near -2/3 first, then the one whose
-    offset from 1/3 starts with digit pattern +8*p^p.
+    Three ``hensel_lift`` calls on x^3 + A x + B, with A and B taken p
+    guard digits beyond ``precision``.  Mod p the cubic is
+    (x + 2/3)(x - 1/3)^2.  The simple root lifts from -2/3 mod p with
+    (j, tau) = (1, 0).  The congruent pair lifts from 1/3 + 8 p^p and
+    from 1/3 - 8 p^p with (j, tau) = (2p + 1, p): each root lies within
+    O(p^(2p)) of its seed, so f has valuation at least 3p there and f'
+    exactly p, and the root is the only one in its seed's class mod
+    p^(p+1).  With v(f') = p a root of the truncated cubic keeps p
+    fewer digits than the coefficients, which the guard digits pay for.
+    The domain is precision >= p + 1, where the coefficients certify
+    v(f) >= 2p + 1 at the pair's seeds; below it ValueError is raised
+    (at precision p the 2p-digit coefficients still pass the lift's
+    check by chance for some p, 1747 and 1753 among them).  Ordering:
+    the root near -2/3 first, then the +8 p^p root, then the -8 p^p root.
     """
+    if precision <= p:
+        raise ValueError(f"precision {precision} must be at least p + 1 = {p + 1}")
     work = precision + p
     A, B = cubic_coefficients(p, work)
-    inv3 = pow(3, -1, p)
-    alpha0 = (-2 * inv3) % p
     coeffs = [B.residue, A.residue, 0, 1]
-    root1 = hensel_lift(coeffs, alpha0, p, j=1, tau=0, precision=work)
-    # Deflate: remaining roots solve x^2 + root1*x - B/root1 = 0 (the three
-    # roots sum to zero and multiply to -B).
-    c = -(B * root1.inv())
-    disc = root1 * root1 - c * 4
-    v = disc.valuation()
-    if v != 2 * p:
-        raise RootSeparationError(
-            f"discriminant valuation {v}, expected {2 * p}: series digits "
-            "disagree with the cubic"
-        )
-    sq = sqrt(disc, 16 % p)
-    inv2 = from_rational(1, 2, p, work)
-    r_plus = (-root1 + sq) * inv2
-    r_minus = (-root1 - sq) * inv2
-    # identify the +8*p^p branch
-    third = from_rational(1, 3, p, r_plus.precision)
-    lead = (r_plus - third).shift_down(p).residue % p
-    if lead == 8 % p:
-        root2, root3 = r_plus, r_minus
-    elif (-lead) % p == 8 % p:
-        root2, root3 = r_minus, r_plus
-    else:
-        raise RootSeparationError(
-            f"neither branch has leading offset digit 8 (saw {lead})"
-        )
+    third = pow(3, -1, p**work)
+    offset = 8 * p**p
+    j, tau = 2 * p + 1, p
     return (
-        root1.truncate(precision),
-        root2.truncate(precision),
-        root3.truncate(precision),
+        hensel_lift(coeffs, -2 * third % p, p, j=1, tau=0, precision=precision),
+        hensel_lift(coeffs, third + offset, p, j=j, tau=tau, precision=precision),
+        hensel_lift(coeffs, third - offset, p, j=j, tau=tau, precision=precision),
     )

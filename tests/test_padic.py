@@ -9,7 +9,6 @@ from locyc.padic import (
     format_expansion,
     from_rational,
     hensel_lift,
-    sqrt,
 )
 
 
@@ -82,30 +81,6 @@ def test_from_rational():
 def test_from_rational_rejects_p_in_denominator():
     with pytest.raises(ValueError, match="divisible"):
         from_rational(1, 10, 5, 3)
-
-
-def test_sqrt_examples():
-    a = PadicInt(5, 3, 4)
-    assert sqrt(a, 2).residue == 2
-    assert sqrt(a, 3).residue == 123  # brute force mod 125: 123^2 = 4
-    b = PadicInt(7, 3, 2)
-    r = sqrt(b, 3)
-    assert r.residue * r.residue % 343 == 2
-    assert r.residue % 7 == 3
-
-
-def test_sqrt_even_valuation_shifts_precision():
-    a = PadicInt(5, 7, 4 * 5**2)
-    r = sqrt(a, 2)
-    assert r.precision == 6  # lost v/2 = 1 digit
-    assert r.residue == 10
-
-
-def test_sqrt_rejects_odd_valuation_and_nonresidue():
-    with pytest.raises(ValueError, match="odd valuation"):
-        sqrt(PadicInt(5, 3, 5), 1)
-    with pytest.raises(ValueError, match="not a square"):
-        sqrt(PadicInt(5, 3, 2), 1)  # 2 is a non-residue mod 5
 
 
 def test_shift_down():

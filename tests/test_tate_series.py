@@ -154,15 +154,39 @@ def test_bundle_invariants(p):
     assert (d23 // p**p) % mod_low == 16 * b.gamma.residue % mod_low
 
 
-# p = 5 and 7 are the acceptance suite's test_oracle_equivalence
-@pytest.mark.parametrize("p", [13, 31, 41, 47, 53])
-def test_oracle_equivalence_full_precision(p):
-    n = 4 * p + 1
+def _oracle_case(p, level):
+    # the full precision 4p + 1 keeps the plain id p
+    n = {"p+1": p + 1, "2p+1": 2 * p + 1, "4p+1": 4 * p + 1}[level]
+    return pytest.param(p, n, id=str(p) if level == "4p+1" else f"{p}-{level}")
+
+
+# Every ladder prime, 11, and 59 above the ladder.  At p + 1 and 2p + 1
+# the pair's tau = p lift has the least slack.  p = 5 and 7 at 4p + 1
+# are the acceptance suite's test_oracle_equivalence.
+@pytest.mark.parametrize(
+    "p,n",
+    [
+        _oracle_case(p, level)
+        for p in (5, 7, 11, 13, 31, 41, 47, 53, 59)
+        for level in ("p+1", "2p+1", "4p+1")
+        if not (p in (5, 7) and level == "4p+1")
+    ],
+)
+def test_oracle_equivalence_full_precision(p, n):
     b = build_bundle(p)
     r1, r2, r3 = oracle_cubic_roots(p, n)
-    assert r1.residue == b.xpp1.residue
-    assert r2.residue == b.xpp2.residue
-    assert r3.residue == b.xpp3.residue
+    assert all(r.precision == n for r in (r1, r2, r3))
+    assert r1.residue == b.xpp1.residue % p**n
+    assert r2.residue == b.xpp2.residue % p**n
+    assert r3.residue == b.xpp3.residue % p**n
+
+
+def test_oracle_rejects_precision_p():
+    # at p = 1747 the lift's own valuation check would pass at precision
+    # p on digits that the 2p-digit coefficients do not certify
+    for p in (5, 53, 1747):
+        with pytest.raises(ValueError, match=r"at least p \+ 1"):
+            oracle_cubic_roots(p, p)
 
 
 def test_oracle_vieta():
