@@ -16,7 +16,7 @@ C1   the six residue conditions on a0, b0, c0 (mod 64 and mod p^r
      recorded series digest must equal
 C2   difference/prime structure of q1, q2, q3, their values at the
      recorded search point, and the recorded primality evidence
-C3   q1 = q2 = q3 = 1 mod p
+C3   p is prime, and q1 = q2 = q3 = 1 mod p
 C4   discriminant identity  delta = 2^12 p^(2p) (q1 q2 q3)^2
 C5   reduced c4 identity, coprimality, and c4 = 1 mod p^p
 C6   good reduction at 2 on the shifted integral model
@@ -38,12 +38,9 @@ import math
 import re
 from dataclasses import dataclass, field, replace
 
-from . import __version__, curve_model, tate_series
+from . import curve_model, tate_series
 from .padic import from_rational, hensel_lift
-from .prime_search import (
-    _TRIAL_BOUND, _TRIAL_PRIMES, VERDICTS, PrimalityEvidence, is_prime,
-)
-from .target_builder import assemble_curve
+from .primality import TRIAL_BOUND, TRIAL_PRIMES, VERDICTS, PrimalityEvidence, is_prime
 
 FORMAT_VERSION = 1
 
@@ -166,6 +163,8 @@ def _c2(cert: Certificate):
 
 
 def _c3(cert: Certificate):
+    if not is_prime(cert.p).is_prime_enough():
+        return False, f"p = {cert.p} is not prime"
     rs = [q % cert.p for q in (cert.q1, cert.q2, cert.q3)]
     return rs == [1, 1, 1], f"residues mod p: {rs}"
 
@@ -269,7 +268,7 @@ def _c11(cert: Certificate):
         return False, "roots are not distinct"
     split = curve_model.split_model(cert.a0, cert.b0, cert.c0)
     delta = split.discriminant()
-    for ell in _TRIAL_PRIMES:
+    for ell in TRIAL_PRIMES:
         if ell == 2 or ell == cert.p or delta % ell == 0:
             continue
         n = curve_model.count_points_mod_ell(split, ell)
@@ -280,7 +279,7 @@ def _c11(cert: Certificate):
                 f"full rational 2-torsion; #E(F_{ell}) = {n} is not 0 mod p, "
                 "so no rational p-torsion"
             )
-    return False, f"no good prime below {_TRIAL_BOUND} ruled out p-torsion"
+    return False, f"no good prime below {TRIAL_BOUND} ruled out p-torsion"
 
 
 def _c12(cert: Certificate, earlier: dict):
@@ -478,36 +477,4 @@ def parse(text: str) -> Certificate:
         checks=tuple(checks),
         metadata=metadata,
         **ints,
-    )
-
-
-def build_certificate(
-    target, x0: int, y0: int, evidence, bundle, seed: int | None = None
-) -> Certificate:
-    """Assemble an unverified certificate from pipeline pieces."""
-    a0, b0, c0, q1, q2, q3 = assemble_curve(target, x0, y0)
-    r = target.r
-    metadata = {"tool": f"locyc {__version__}"}
-    if seed is not None:
-        metadata["seed"] = str(seed)
-    return Certificate(
-        p=target.p,
-        r=r,
-        s1=target.s1,
-        s2=target.s2,
-        x0=x0,
-        y0=y0,
-        q1=q1,
-        q2=q2,
-        q3=q3,
-        a0=a0,
-        b0=b0,
-        c0=c0,
-        series_digest=(
-            bundle.xpp1.truncate(r).residue,
-            bundle.xpp2.truncate(r).residue,
-            bundle.xpp3.truncate(r).residue,
-        ),
-        primality=tuple(evidence),
-        metadata=metadata,
     )

@@ -24,21 +24,15 @@ from .certificate import (
     Certificate,
     CertificateFormatError,
     CheckReport,
-    build_certificate,
     emit,
     parse,
     verify_certificate,
     with_report,
 )
 from .padic import format_expansion
-from .prime_search import (
-    BudgetExhaustedError,
-    SearchConfig,
-    is_prime,
-    search,
-    with_sieve_bound,
-)
-from .target_builder import build_targets, linear_forms
+from .primality import is_prime
+from .prime_search import BudgetExhaustedError, SearchConfig, search, with_sieve_bound
+from .target_builder import build_certificate, build_targets, linear_forms
 from .tate_series import build_bundle
 
 log = logging.getLogger("locyc")
@@ -113,7 +107,7 @@ def construct(p: int, config: SearchConfig) -> tuple[Certificate, CheckReport]:
         config.sieve_bound,
     )
     x0, y0, evidence = search(forms, target, config)
-    cert = build_certificate(target, x0, y0, evidence, bundle, seed=config.seed)
+    cert = build_certificate(target, forms, x0, y0, evidence, bundle, seed=config.seed)
     report = verify_certificate(cert)
     return with_report(cert, report), report
 

@@ -14,7 +14,7 @@ with this P and Q = 1, W_k = V_k(P, 1), by the ladder
 
 two products and two subtractions per bit of k.  The strong Lucas test
 runs it with P = 1/Q - 2 mod n for every Selfridge Q, and reads its
-verdict from W alone (``prime_search._strong_lucas``).
+verdict from W alone (``primality._strong_lucas``).
 
 For an odd n of at least ``LUCAS_CROSSOVER_BITS`` bits the W ladder runs
 on OpenSSL Montgomery numbers (``BN_mod_mul_montgomery`` and

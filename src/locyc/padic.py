@@ -154,13 +154,26 @@ class PadicInt:
 
 
 def int_valuation(n: int, p: int):
-    """Exponent of p in the integer n; math.inf for n = 0."""
+    """Exponent of p in the integer n; math.inf for n = 0.
+
+    Divides by p, p^2, p^4, ... while they divide, then steps back down
+    through the same powers, so a valuation v costs about 2 log2(v)
+    divisions instead of v.
+    """
     if n == 0:
         return math.inf
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
+    powers = []  # p^(2^i) for each i whose division succeeded
+    pk = p
+    while n % pk == 0:
+        n //= pk
+        powers.append(pk)
+        pk *= pk
+    v = (1 << len(powers)) - 1
+    # what is left has valuation below 2^len(powers): take its binary digits
+    for i in reversed(range(len(powers))):
+        if n % powers[i] == 0:
+            n //= powers[i]
+            v += 1 << i
     return v
 
 

@@ -11,13 +11,16 @@ difference into single residues s1, s2 mod 64 p^r; the three forms
     Q3(X, Y) = (s1 - s2)/(16 p^p) + 4 p^(r-p) (X - Y)
 
 satisfy Q1 - Q2 = 16 p^p Q3 identically, so one simultaneous-prime
-point (x0, y0) hands over the whole triple.
+point (x0, y0) hands over the whole triple, and ``build_certificate``
+turns that point into the (unverified) certificate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import __version__
+from .certificate import Certificate
 from .tate_series import TateBundle
 
 
@@ -122,11 +125,18 @@ def linear_forms(target: CongruenceTarget) -> LinearFormTriple:
     return forms
 
 
-def assemble_curve(
-    target: CongruenceTarget, x0: int, y0: int
-) -> tuple[int, int, int, int, int, int]:
-    """(a0, b0, c0, q1, q2, q3) from a solution point of the forms."""
-    forms = linear_forms(target)
+def build_certificate(
+    target: CongruenceTarget,
+    forms: LinearFormTriple,
+    x0: int,
+    y0: int,
+    evidence,
+    bundle: TateBundle,
+    seed: int | None = None,
+) -> Certificate:
+    """The unverified certificate of a solution point (x0, y0) of the
+    forms: the primes q1, q2, q3 are the forms' values there, and the
+    curve's roots are a0, b0 = a0 + q1 and c0 = a0 + q2."""
     q1 = forms.q1_at(x0)
     q2 = forms.q2_at(y0)
     q3 = forms.q3_at(x0 - y0)
@@ -136,4 +146,28 @@ def assemble_curve(
     b0 = a0 + q1
     c0 = a0 + q2
     assert b0 - c0 == 16 * target.p**target.p * q3
-    return a0, b0, c0, q1, q2, q3
+    r = target.r
+    metadata = {"tool": f"locyc {__version__}"}
+    if seed is not None:
+        metadata["seed"] = str(seed)
+    return Certificate(
+        p=target.p,
+        r=r,
+        s1=target.s1,
+        s2=target.s2,
+        x0=x0,
+        y0=y0,
+        q1=q1,
+        q2=q2,
+        q3=q3,
+        a0=a0,
+        b0=b0,
+        c0=c0,
+        series_digest=(
+            bundle.xpp1.truncate(r).residue,
+            bundle.xpp2.truncate(r).residue,
+            bundle.xpp3.truncate(r).residue,
+        ),
+        primality=tuple(evidence),
+        metadata=metadata,
+    )

@@ -19,7 +19,7 @@ from locyc.curve_model import (
     split_model,
 )
 from locyc.padic import hensel_lift
-from locyc.prime_search import is_prime
+from locyc.primality import is_prime
 from locyc.tate_series import build_bundle, oracle_cubic_roots
 
 

@@ -207,6 +207,45 @@ def test_verify_fails_fast_on_a_certificate_edited_to_a_large_p(tmp_path):
     assert not any("Exceeds the limit" in r.details for r in report.results)
 
 
+
+@pytest.mark.parametrize("p", [25, 35])
+def test_a_composite_p_fails_c3_and_c12(tmp_path, p):
+    # the series, the targets and the search all go through for a
+    # composite p, and every check but C3 (and C12, which rests on it)
+    # passes the resulting certificate
+    cert, report = cli.construct(p, SearchConfig(seed=1, d_range=100000,
+                                                 x_window=16384))
+    assert report.failing() == ["C3", "C12"], report.lines()
+    assert report.results[2].details == f"p = {p} is not prime"
+    path = tmp_path / "cert.json"
+    path.write_text(emit(cert))
+    assert cli.main(["verify", str(path)]) == 1
+
+
+def test_verifying_loads_no_construct_code(cert5, tmp_path):
+    # parse and C1..C12 run on the verifier's own modules: no search,
+    # sieve, thread or target-building code is imported
+    path = tmp_path / "cert.json"
+    path.write_text(emit(cert5))
+    code = (
+        "import json, sys\n"
+        "from locyc.certificate import parse, verify_certificate\n"
+        f"text = open({str(path)!r}).read()\n"
+        "assert verify_certificate(parse(text)).all_passed\n"
+        "print(json.dumps([sorted(n for n in sys.modules if n.startswith('locyc')),\n"
+        "                  'concurrent.futures' in sys.modules]))\n"
+    )
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True, timeout=120)
+    loaded, threads = json.loads(done.stdout)
+    verifier = {"locyc", "locyc.certificate", "locyc.curve_model", "locyc.modexp",
+                "locyc.padic", "locyc.primality", "locyc.tate_series"}
+    assert set(loaded) - {"locyc.libcrypto"} == verifier, loaded
+    assert not threads
+
+
 @pytest.mark.parametrize("b0_minus_c0", [0, -1])
 def test_parse_rejects_b0_not_above_c0(cert5, b0_minus_c0):
     doc = json.loads(emit(cert5))

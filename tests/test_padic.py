@@ -9,6 +9,7 @@ from locyc.padic import (
     format_expansion,
     from_rational,
     hensel_lift,
+    int_valuation,
 )
 
 
@@ -171,3 +172,28 @@ def test_inv_is_two_sided(p, x):
     a = PadicInt(p, n, x % p**n)
     assert (a * a.inv()).residue == 1
     assert (a.inv() * a).residue == 1
+
+
+def reference_int_valuation(n, p):
+    """The exponent of p in n by one division per digit, as int_valuation
+    computed it before it divided by p, p^2, p^4, ..."""
+    if n == 0:
+        return math.inf
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
+@given(
+    st.sampled_from([2, 3, 5, 7, 53, 101]),
+    st.integers(-(10**30), 10**30),
+    st.integers(0, 300),
+)
+def test_int_valuation_matches_the_digit_loop(p, unit, k):
+    # k covers every binary digit pattern of the valuation up to 300, and
+    # a unit divisible by p moves it past k
+    n = unit * p**k
+    assert int_valuation(n, p) == reference_int_valuation(n, p)
+    assert int_valuation(n, p) is math.inf or int_valuation(n, p) >= k

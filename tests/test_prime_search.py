@@ -14,20 +14,22 @@ from pathlib import Path
 
 import pytest
 
-from locyc import libcrypto, modexp, prime_search
+from locyc import libcrypto, modexp, primality, prime_search
 from locyc.padic import int_valuation
+from locyc.primality import (
+    PrimalityEvidence,
+    _small_primes,
+    is_prime,
+    strong_probable_prime,
+)
 from locyc.prime_search import (
     BudgetExhaustedError,
-    PrimalityEvidence,
     SearchConfig,
     SearchStats,
     SieveTables,
     _d_order,
     _sieve_form,
-    _small_primes,
-    _strong_probable_prime,
     default_sieve_bound,
-    is_prime,
     search,
 )
 from locyc.target_builder import LinearFormTriple, build_targets, linear_forms
@@ -96,8 +98,8 @@ def test_mersenne_base_2_pseudoprimes_are_composite(modexp_path, exponent, lucas
     # 2^k - 1 with k prime passes the base-2 test whether or not it is
     # prime; these two are composite, so the strong Lucas test rejects them
     n = 2**exponent - 1
-    assert _strong_probable_prime(n, 2)
-    assert not _strong_probable_prime(n, 3)
+    assert strong_probable_prime(n, 2)
+    assert not strong_probable_prime(n, 3)
     evidence = is_prime(n)
     assert evidence.verdict == "composite"
     assert (evidence.method, evidence.witnesses) == ("strong-lucas", (lucas_d,))
@@ -129,7 +131,7 @@ def selfridge_d(n):
     (D|n) = -1 and j = 0 when D shares a factor with n first."""
     D = 5
     while True:
-        j = prime_search._jacobi(D, n)
+        j = primality._jacobi(D, n)
         if j == -1 or (j == 0 and abs(D) != n):
             return j, D
         D = -D - 2 if D > 0 else -D + 2
@@ -181,7 +183,7 @@ def lucas_corpus(part):
 def test_strong_lucas_matches_the_reference(modexp_path, part):
     native = modexp.kernel()
     for n in lucas_corpus(part):
-        passed, D = prime_search._strong_lucas(n)
+        passed, D = primality._strong_lucas(n)
         assert (passed, D) == reference_strong_lucas(n), n
         if D == 0 or selfridge_d(n)[0] == 0:
             continue  # a square, or a D that shares a factor with n
@@ -537,14 +539,14 @@ def window_survivors(forms, config):
     return [
         (d, y)
         for d in range(d_lo, d_lo + config.d_range)
-        if not tables.q3_marks[d - d_lo] and _strong_probable_prime(forms.q3_at(d), 2)
+        if not tables.q3_marks[d - d_lo] and strong_probable_prime(forms.q3_at(d), 2)
         for y, mark in enumerate(tables.window_marks(d))
         if not mark
     ]
 
 
 def q2_screen_passes(forms, survivors):
-    return sum(_strong_probable_prime(forms.q2_at(y), 2) for _, y in survivors)
+    return sum(strong_probable_prime(forms.q2_at(y), 2) for _, y in survivors)
 
 
 def test_tests_used_counts_each_d_survivor_and_q2_screen_pass(target5):
@@ -615,7 +617,7 @@ def test_a_q2_that_is_prime_rejects_counts_the_same_for_every_worker_count(
     q1_prime = sum(
         1
         for d, y in survivors
-        if _strong_probable_prime(forms.q2_at(y), 2)
+        if strong_probable_prime(forms.q2_at(y), 2)
         and is_prime(forms.q1_at(d + y)).is_prime_enough()
     )
     assert len(one_worker_rejected) == q1_prime > len(set(one_worker_rejected)) > 0
@@ -808,7 +810,7 @@ def test_default_sieve_bound_grows_with_bit_size(target5):
     assert default_sieve_bound(wide, 10**9) == default_sieve_bound(wide, 16384)
     # p = 5's 55-bit coefficient gives 189 at 4096: the trial bound holds
     forms5 = linear_forms(target5)
-    assert default_sieve_bound(forms5, 4096) == prime_search._TRIAL_BOUND
+    assert default_sieve_bound(forms5, 4096) == primality.TRIAL_BOUND
 
 
 def test_zero_budget_exhausts(target5):

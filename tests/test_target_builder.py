@@ -1,7 +1,7 @@
 import pytest
 
 from locyc.target_builder import (
-    assemble_curve,
+    build_certificate,
     build_targets,
     crt_pair,
     linear_forms,
@@ -65,8 +65,14 @@ def test_form_identity_q1_minus_q2(target5):
         assert forms.q1_at(x) - forms.q2_at(y) == step * forms.q3_at(x - y)
 
 
-def test_assemble_at_solution(cert5, target5):
-    a0, b0, c0, q1, q2, q3 = assemble_curve(target5, cert5.x0, cert5.y0)
+def assemble(target, x0, y0, bundle):
+    """The certificate build_certificate makes of the point (x0, y0)."""
+    return build_certificate(target, linear_forms(target), x0, y0, (), bundle)
+
+
+def test_assemble_at_solution(cert5, target5, bundle5):
+    cert = assemble(target5, cert5.x0, cert5.y0, bundle5)
+    a0, b0, c0, q1, q2, q3 = cert.a0, cert.b0, cert.c0, cert.q1, cert.q2, cert.q3
     assert (a0, b0, c0) == (cert5.a0, cert5.b0, cert5.c0)
     assert (q1, q2, q3) == (cert5.q1, cert5.q2, cert5.q3)
     assert b0 - c0 == 16 * 5**5 * q3
@@ -75,19 +81,20 @@ def test_assemble_at_solution(cert5, target5):
     pr = 5**21
     assert b0 % pr == cert5.series_digest[1] % pr
     assert c0 % pr == cert5.series_digest[2] % pr
+    assert cert.series_digest == cert5.series_digest
 
 
-def test_assemble_at_origin(target5):
+def test_assemble_at_origin(target5, bundle5):
     # at the origin the forms take their constant values
     if target5.q3_constant > 0:
-        a0, b0, c0, q1, q2, q3 = assemble_curve(target5, 0, 0)
-        assert q1 == target5.s1 and q2 == target5.s2
-        assert q3 == target5.q3_constant
+        cert = assemble(target5, 0, 0, bundle5)
+        assert cert.q1 == target5.s1 and cert.q2 == target5.s2
+        assert cert.q3 == target5.q3_constant
     else:
         with pytest.raises(ValueError, match="positive"):
-            assemble_curve(target5, 0, 0)
+            assemble(target5, 0, 0, bundle5)
 
 
-def test_assemble_rejects_nonpositive(target5):
+def test_assemble_rejects_nonpositive(target5, bundle5):
     with pytest.raises(ValueError, match="positive"):
-        assemble_curve(target5, -10**9, 0)
+        assemble(target5, -10**9, 0, bundle5)
