@@ -19,7 +19,7 @@ import logging
 import os
 import sys
 
-from . import __version__, modexp
+from . import __version__, primality
 from .certificate import (
     Certificate,
     CertificateFormatError,
@@ -33,7 +33,7 @@ from .padic import format_expansion
 from .primality import is_prime
 from .prime_search import BudgetExhaustedError, SearchConfig, search, with_sieve_bound
 from .target_builder import build_certificate, build_targets, linear_forms
-from .tate_series import build_bundle
+from .tate_series import build_bundle, target_precision
 
 log = logging.getLogger("locyc")
 
@@ -93,8 +93,10 @@ def construct(p: int, config: SearchConfig) -> tuple[Certificate, CheckReport]:
     simultaneous-prime search, then the certificate and its C1..C12 report.
 
     The certificate comes back with that report attached.  Raises
+    UsageError, before any series work, when p is not a prime >= 5, and
     BudgetExhaustedError when the search stops without a hit.
     """
+    _check_prime_arg(p)
     bundle = build_bundle(p)
     target = build_targets(bundle)
     forms = linear_forms(target)
@@ -155,7 +157,7 @@ def _cmd_construct(args) -> int:
     if args.workers > cpus:
         raise UsageError(f"--workers must be at most {cpus} (the CPU count), "
                          f"got {args.workers}")
-    if args.workers > 1 and modexp.kernel() is None:
+    if args.workers > 1 and primality.kernel() is None:
         # builtin pow holds the interpreter lock, so the threads take turns
         print("warning: --workers above 1 gains nothing without libcrypto: "
               "the search threads take turns on builtin pow", file=sys.stderr)
@@ -223,7 +225,7 @@ def _cmd_series(args) -> int:
         raise UsageError("digits must be positive")
     p, k = args.prime, args.digits
     # alpha/beta/gamma sit p digits below the working precision
-    bundle = build_bundle(p, precision=max(4 * p + 1, k + p))
+    bundle = build_bundle(p, precision=max(target_precision(p), k + p))
     rows = [
         ("a4", bundle.a4),
         ("a6", bundle.a6),

@@ -1,7 +1,7 @@
 """OpenSSL's BIGNUM arithmetic on Python integers, through ``ctypes``.
 
-The native kernel behind ``modexp``: ``BN_mod_exp`` for ``powmod``, and
-the Q = 1 Lucas V ladder of ``lucas_v`` on Montgomery numbers
+The native kernel behind ``primality``: ``BN_mod_exp`` for ``powmod``,
+and the Q = 1 Lucas V ladder of ``lucas_v`` on Montgomery numbers
 (``BN_mod_mul_montgomery`` and ``BN_mod_sub_quick``).  Each call has
 one owner for what it allocates: its own BN_CTX, opened with
 ``BN_CTX_start`` and closed in a ``finally`` by ``BN_CTX_end`` and
@@ -14,8 +14,8 @@ doubtful value.
 The library is the versioned ``libcrypto.so.3`` or ``libcrypto.so.1.1``,
 the one CPython's own ``ssl`` and ``hashlib`` load on Linux.  No
 unversioned name is searched for: on macOS that finds a system stub
-whose loading aborts the process.  ``modexp`` imports this module at
-its first large call, not at import.
+whose loading aborts the process.  ``primality`` imports this module
+at its first large call, not at import.
 """
 
 from __future__ import annotations

@@ -10,29 +10,103 @@ checks re-test with ``is_prime``.  This module holds no search code, so
 the verifier imports it without the search.
 
 Modular exponentiation.  Every strong-probable-prime test, in the
-screen, in ``is_prime`` and in C2, exponentiates through
-``modexp.powmod``: OpenSSL's ``BN_mod_exp`` from ``libcrypto.so.3`` or
-``libcrypto.so.1.1`` for moduli of at least ``modexp.CROSSOVER_BITS``
-bits (8x faster than builtin ``pow`` at 1243 bits), builtin ``pow``
-below that and wherever the library does not open.  The strong Lucas
-test is one ``modexp.lucas_v``, a Lucas V ladder with Q = 1 whatever
-Selfridge's Q, whose two values give the verdict with no power of Q.
-The ladder runs on OpenSSL Montgomery numbers for moduli of at least
-``modexp.LUCAS_CROSSOVER_BITS`` bits and on builtin ints elsewhere.
-Both backends give the same values, so verdicts, witnesses and
-certificates do not depend on the platform.  The library is opened at
-the first large call, not at import, so a small construct and
-``import locyc`` do not pay for it.
+screen, in ``is_prime`` and in C2, exponentiates through ``powmod``:
+OpenSSL's ``BN_mod_exp`` (Montgomery multiplication with sliding
+windows) for moduli of at least ``CROSSOVER_BITS`` bits, builtin
+``pow`` below that, where moving the numbers into OpenSSL costs more
+than it saves.  At 1243 bits ``pow`` takes about 7.7 ms and
+``BN_mod_exp`` about 0.9 ms.  The strong Lucas test is one ``lucas_v``,
+which gives (W_k, W_(k+1)) mod n for the Lucas sequence with this P and
+Q = 1, W_k = V_k(P, 1), by the ladder
+
+    W_0 = 2,  W_1 = P,  W_2k = W_k^2 - 2,  W_(2k+1) = W_k W_(k+1) - P,
+
+two products and two subtractions per bit of k.  ``_strong_lucas`` runs
+it with P = 1/Q - 2 mod n for Selfridge's Q and reads its verdict from
+W alone, with no power of Q.  For an odd n of at least
+``LUCAS_CROSSOVER_BITS`` bits the ladder runs on OpenSSL Montgomery
+numbers (``BN_mod_mul_montgomery`` and ``BN_mod_sub_quick``), four
+``ctypes`` calls per bit; elsewhere on builtin ints.  The native kernel
+is ``libcrypto.Libcrypto``, from ``libcrypto.so.3`` or
+``libcrypto.so.1.1``.  Where the library does not open, or a symbol is
+missing, every call runs on builtin ints.  Both backends give the
+same values, so verdicts, witnesses and certificates do not depend on
+the platform.  The binding and ``ctypes`` are imported and the library
+opened at the first large call, not at import, so a small construct and
+``import locyc`` do not pay for them.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import compress
 
-from . import modexp
 from .padic import int_valuation
+
+# the bit size of n from which BN_mod_exp beats builtin pow.  Measured on
+# a 2-core Xeon VM (Python 3.11, OpenSSL 3), BN_mod_exp against pow: 0.6x
+# at 64 bits, 0.9x at 80, 1.1x at 96, 1.3x at 104, 1.6x at 128, 3x at
+# 300 and 8x at 1243
+CROSSOVER_BITS = 100
+
+# the bit size of n from which the W ladder on OpenSSL Montgomery
+# numbers beats the one on builtin ints.  A step costs four ctypes calls
+# of about 1 us each, nearly whatever the size, against two builtin
+# products that grow with it.  Measured on the same VM, lucas_v as the
+# strong Lucas test runs it (k = floor(d/2) for d the odd part of n + 1,
+# P = 1/Q - 2 for Q = -1, 2, 3, -3) on four random odd n per size, the
+# builtin ladder's time over the native one's (median, each time the
+# best of 7 x 4 calls): 0.6x at 400-450 bits, 0.8-0.9x at 500-525, 1.0x
+# at 550-600, 1.2x at 700 and 2.4x at 1243
+LUCAS_CROSSOVER_BITS = 550
+
+
+@functools.cache
+def kernel():
+    """The native kernel (a ``libcrypto.Libcrypto``), opened on the first
+    call; None where it is unavailable.
+
+    Threads that call it first at the same time may each open one; each
+    gets a working kernel, as a ``Libcrypto`` keeps no state between
+    calls.
+    """
+    from . import libcrypto
+
+    return libcrypto.open_kernel()
+
+
+def powmod(b: int, e: int, n: int) -> int:
+    """``pow(b, e, n)`` for 0 <= b < n and e >= 0."""
+    if n.bit_length() >= CROSSOVER_BITS:
+        native = kernel()
+        if native is not None:
+            return native.powmod(b, e, n)
+    return pow(b, e, n)
+
+
+def _lucas_v(P: int, k: int, n: int) -> tuple[int, int]:
+    """(V_k, V_(k+1)) mod n for the Lucas sequence with this P and Q = 1,
+    on builtin ints, for 0 <= P < n, k >= 0 and n >= 1."""
+    v, v1 = 2 % n, P
+    for bit in bin(k)[2:]:
+        if bit == "1":  # k -> 2k + 1
+            v, v1 = (v * v1 - P) % n, (v1 * v1 - 2) % n
+        else:  # k -> 2k
+            v, v1 = (v * v - 2) % n, (v * v1 - P) % n
+    return v, v1
+
+
+def lucas_v(P: int, k: int, n: int) -> tuple[int, int]:
+    """(V_k, V_(k+1)) mod n for the Lucas sequence with this P and Q = 1,
+    for 0 <= P < n, k >= 0 and n >= 1."""
+    if n & 1 and n.bit_length() >= LUCAS_CROSSOVER_BITS:
+        native = kernel()
+        if native is not None:
+            return native.lucas_v(P, k, n)
+    return _lucas_v(P, k, n)
+
 
 # Deterministic Miller-Rabin bases, valid for every n < 3.3*10^24
 # (covers all n below 2^64 with a wide margin).
@@ -77,7 +151,7 @@ class PrimalityEvidence:
 def strong_probable_prime(n: int, base: int) -> bool:
     s = int_valuation(n - 1, 2)
     d = (n - 1) >> s
-    x = modexp.powmod(base % n, d, n)
+    x = powmod(base % n, d, n)
     if x == 1 or x == n - 1:
         return True
     for _ in range(s - 1):
@@ -110,7 +184,7 @@ def _strong_lucas(n: int):
     Q = (1 - D)/4 and n + 1 = d 2^s2, n passes when U_d = 0 or
     V_(d 2^r) = 0 mod n for some 0 <= r < s2.
 
-    The test runs ``modexp.lucas_v`` on the sequence with Q = 1 whose
+    The test runs ``lucas_v`` on the sequence with Q = 1 whose
     roots are a^2/Q and b^2/Q (a and b the roots of x^2 - x + Q), that
     is W_k = V_k(P', 1) with P' = 1/Q - 2 mod n, and V_2k = Q^k W_k.
     D and Q are units mod n (below), and d = 2j + 1 is odd, so with
@@ -143,7 +217,7 @@ def _strong_lucas(n: int):
     P = (pow((1 - D) // 4, -1, n) - 2) % n  # P' = 1/Q - 2
     s2 = int_valuation(n + 1, 2)
     d = (n + 1) >> s2
-    w, w1 = modexp.lucas_v(P, d >> 1, n)
+    w, w1 = lucas_v(P, d >> 1, n)
     if w == w1 or (w + w1) % n == 0:
         return True, D
     w = (w * w1 - P) % n

@@ -59,8 +59,7 @@ Probes and workers:
   d, and takes the results in stream order, so the hit and the counters
   are those of one worker.  Nearly all of a probe's time is in
   ``BN_mod_exp``, which ``ctypes`` calls with the interpreter lock
-  released, so the threads' exponentiations overlap.  The modexp kernel
-  is opened before the threads start, so that no two open it at once.
+  released, so the threads' exponentiations overlap.
 - Bounded read-ahead.  Tasks are submitted at most
   ``_READ_AHEAD_PER_WORKER`` per worker ahead of the result the search
   waits for: enough that a probe with many survivors does not leave
@@ -96,7 +95,6 @@ from contextlib import closing
 from dataclasses import dataclass, replace
 from itertools import compress, islice
 
-from . import modexp
 from .primality import (
     TRIAL_BOUND, PrimalityEvidence, is_prime, prime_flags, strong_probable_prime,
 )
@@ -364,7 +362,6 @@ def _probes(todo, tables: SieveTables, config: SearchConfig):
         return
     from concurrent.futures import ThreadPoolExecutor
 
-    modexp.kernel()  # opened here, so that no two threads open it at once
     pool = ThreadPoolExecutor(config.worker_count)
     tasks = (pool.submit(_probe_d, tables, d) for d in todo)
     try:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from . import __version__
 from .certificate import Certificate
-from .tate_series import TateBundle
+from .tate_series import TateBundle, target_precision
 
 
 def crt_pair(r1: int, m1: int, r2: int, m2: int) -> int:
@@ -74,7 +74,7 @@ def build_targets(bundle: TateBundle) -> CongruenceTarget:
     failure would mean the series digits are wrong, so it is checked.
     """
     p = bundle.prime
-    r = 4 * p + 1
+    r = target_precision(p)
     if bundle.precision < r:
         raise ValueError(
             f"bundle precision {bundle.precision} below required {r}"

@@ -115,16 +115,22 @@ class TateBundle:
     gamma: PadicInt  # xpp2-xpp3 = 16*gamma*p^p
 
 
+def target_precision(p: int) -> int:
+    """The precision r = 4p + 1 at which a construct builds its series
+    and congruence targets."""
+    return 4 * p + 1
+
+
 def build_bundle(p: int, precision: int | None = None) -> TateBundle:
     """Evaluate everything at q = p^(2p).
 
-    Default precision is 4p+1, the level at which the congruence targets
-    are built.  The unit factors alpha, beta, gamma come out p digits
-    shorter because extracting them divides by p^p.
+    Default precision is ``target_precision(p)``, the level at which the
+    congruence targets are built.  The unit factors alpha, beta, gamma
+    come out p digits shorter because extracting them divides by p^p.
     """
     if p < 5:
         raise ValueError("p must be at least 5")
-    r = 4 * p + 1 if precision is None else precision
+    r = target_precision(p) if precision is None else precision
     a4, a6 = tate_a_invariants(p, r)
     third = from_rational(1, 3, p, r)
     xpp1 = two_torsion_x(p, 1, r) * 4 + third

@@ -172,9 +172,9 @@ def test_property_hensel_uniqueness():
         ([1, 1, 1], 2, 7, 4),        # x^2 + x + 1
         ([-16, 0, 0, 0, 1], 2, 5, 5),  # x^4 - 16: four roots, one per class
     ]
-    for coeffs, alpha, p, modexp in instances:
-        beta = hensel_lift(coeffs, alpha, p, j=1, tau=0, precision=modexp)
-        mod = p**modexp
+    for coeffs, alpha, p, precision in instances:
+        beta = hensel_lift(coeffs, alpha, p, j=1, tau=0, precision=precision)
+        mod = p**precision
 
         def f(x, cs=coeffs):
             return sum(c * x**i for i, c in enumerate(cs))

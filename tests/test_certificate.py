@@ -19,7 +19,9 @@ from locyc.certificate import (
     with_report,
 )
 from locyc.curve_model import split_model
-from locyc.prime_search import SearchConfig
+from locyc.prime_search import SearchConfig, search
+from locyc.target_builder import build_certificate, build_targets, linear_forms
+from locyc.tate_series import build_bundle
 
 def test_good_certificate_passes(cert5):
     report = verify_certificate(cert5)
@@ -210,15 +212,20 @@ def test_verify_fails_fast_on_a_certificate_edited_to_a_large_p(tmp_path):
 
 @pytest.mark.parametrize("p", [25, 35])
 def test_a_composite_p_fails_c3_and_c12(tmp_path, p):
-    # the series, the targets and the search all go through for a
-    # composite p, and every check but C3 (and C12, which rests on it)
-    # passes the resulting certificate
-    cert, report = cli.construct(p, SearchConfig(seed=1, d_range=100000,
-                                                 x_window=16384))
+    # cli.construct rejects a composite p, but the series, the targets
+    # and the search all go through for one, and every check but C3 (and
+    # C12, which rests on it) passes the resulting certificate
+    config = SearchConfig(seed=1, d_range=100000, x_window=16384)
+    bundle = build_bundle(p)
+    target = build_targets(bundle)
+    forms = linear_forms(target)
+    x0, y0, evidence = search(forms, target, config)
+    cert = build_certificate(target, forms, x0, y0, evidence, bundle, seed=config.seed)
+    report = verify_certificate(cert)
     assert report.failing() == ["C3", "C12"], report.lines()
     assert report.results[2].details == f"p = {p} is not prime"
     path = tmp_path / "cert.json"
-    path.write_text(emit(cert))
+    path.write_text(emit(with_report(cert, report)))
     assert cli.main(["verify", str(path)]) == 1
 
 
@@ -240,8 +247,8 @@ def test_verifying_loads_no_construct_code(cert5, tmp_path):
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True, timeout=120)
     loaded, threads = json.loads(done.stdout)
-    verifier = {"locyc", "locyc.certificate", "locyc.curve_model", "locyc.modexp",
-                "locyc.padic", "locyc.primality", "locyc.tate_series"}
+    verifier = {"locyc", "locyc.certificate", "locyc.curve_model", "locyc.padic",
+                "locyc.primality", "locyc.tate_series"}
     assert set(loaded) - {"locyc.libcrypto"} == verifier, loaded
     assert not threads
 

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from locyc import cli, modexp
+from locyc import cli, primality
 from locyc.certificate import emit, parse
 from locyc.prime_search import SearchConfig
 from dataclasses import replace
@@ -31,6 +31,16 @@ def test_construct_rejects_composite_prime(capsys):
     for value in ("4", "-7", "0", "1"):
         assert run(["construct", "--prime", value]) == 64
         assert "not prime" in capsys.readouterr().err
+
+
+def test_construct_rejects_a_composite_p_before_the_series(monkeypatch):
+    def no_series(*args, **kwargs):
+        raise AssertionError("the series was built")
+
+    monkeypatch.setattr(cli, "build_bundle", no_series)
+    config = SearchConfig(seed=1, d_range=100000, x_window=16384)
+    with pytest.raises(cli.UsageError, match="49 is not prime"):
+        cli.construct(49, config)
 
 
 def test_construct_rejects_small_primes(capsys):
@@ -274,7 +284,7 @@ def test_workers_above_the_cpu_count_are_a_usage_error(tmp_path, capsys, monkeyp
 def test_workers_without_libcrypto_warn_and_write_the_one_worker_bytes(
     tmp_path, capsys, monkeypatch
 ):
-    monkeypatch.setattr(modexp, "_kernel", None)
+    monkeypatch.setattr(primality, "kernel", lambda: None)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     one, two = tmp_path / "w1.json", tmp_path / "w2.json"
     assert run(["construct", "--prime", "13", "--out", str(one)]) == 0
@@ -309,7 +319,7 @@ def test_certificate_bytes_match_the_stored_reference(
     tmp_path, monkeypatch, argv, native
 ):
     if not native:
-        monkeypatch.setattr(modexp, "_kernel", None)
+        monkeypatch.setattr(primality, "kernel", lambda: None)
     reference = json.loads(REFERENCE_DIGESTS.read_text())["reference_sha256"]
     out = tmp_path / "cert.json"
     assert run([*argv, "--out", str(out)]) == 0

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from locyc import libcrypto, modexp, primality, prime_search
+from locyc import libcrypto, primality, prime_search
 from locyc.padic import int_valuation
 from locyc.primality import (
     PrimalityEvidence,
@@ -63,22 +63,22 @@ def test_is_prime_large():
 
 
 @pytest.fixture(params=["native", "builtin"])
-def modexp_path(request, monkeypatch):
+def arithmetic(request, monkeypatch):
     """Run a test once through OpenSSL's arithmetic and once through
     builtin ints."""
     if request.param == "native":
-        if modexp.kernel() is None:
+        if primality.kernel() is None:
             pytest.skip("libcrypto is not available here")
     else:
-        monkeypatch.setattr(modexp, "_kernel", None)
+        monkeypatch.setattr(primality, "kernel", lambda: None)
     return request.param
 
 
 @pytest.mark.parametrize(
-    "bits", [4, 8, 64, modexp.CROSSOVER_BITS - 1, modexp.CROSSOVER_BITS, 128,
+    "bits", [4, 8, 64, primality.CROSSOVER_BITS - 1, primality.CROSSOVER_BITS, 128,
              300, 683, 1243, 2000]
 )
-def test_powmod_equals_pow(modexp_path, bits):
+def test_powmod_equals_pow(arithmetic, bits):
     rng = random.Random(bits)
     for n in (
         rng.getrandbits(bits) | 1 << (bits - 1) | 1,  # odd
@@ -87,14 +87,14 @@ def test_powmod_equals_pow(modexp_path, bits):
         exponents = (0, 1, 2, n - 1, (n - 1) >> 1, rng.getrandbits(bits + 7))
         for b in (0, 1, 2, 3, n - 1, rng.randrange(n)):
             for e in exponents:
-                assert modexp.powmod(b, e, n) == pow(b, e, n), (b, e, n)
-                if modexp_path == "native":
+                assert primality.powmod(b, e, n) == pow(b, e, n), (b, e, n)
+                if arithmetic == "native":
                     # the kernel itself, also below the crossover
-                    assert modexp.kernel().powmod(b, e, n) == pow(b, e, n), (b, e, n)
+                    assert primality.kernel().powmod(b, e, n) == pow(b, e, n), (b, e, n)
 
 
 @pytest.mark.parametrize("exponent, lucas_d", [(523, 5), (1277, -7)])
-def test_mersenne_base_2_pseudoprimes_are_composite(modexp_path, exponent, lucas_d):
+def test_mersenne_base_2_pseudoprimes_are_composite(arithmetic, exponent, lucas_d):
     # 2^k - 1 with k prime passes the base-2 test whether or not it is
     # prime; these two are composite, so the strong Lucas test rejects them
     n = 2**exponent - 1
@@ -162,8 +162,8 @@ def lucas_corpus(part):
     if part == "random":
         # odd n at 5-1250 bits, on both sides of the native crossover
         rng = random.Random(20001)
-        bits = [*range(5, 1251, 50), modexp.LUCAS_CROSSOVER_BITS - 1,
-                modexp.LUCAS_CROSSOVER_BITS]
+        bits = [*range(5, 1251, 50), primality.LUCAS_CROSSOVER_BITS - 1,
+                primality.LUCAS_CROSSOVER_BITS]
         return [rng.getrandbits(b) | 1 << (b - 1) | 1 for b in bits for _ in range(3)]
     if part == "special":
         pseudoprimes = [5459, 5777, 10877, 16109, 18971]  # strong Lucas
@@ -180,8 +180,8 @@ def lucas_corpus(part):
 
 
 @pytest.mark.parametrize("part", ["odd-below-20001", "random", "special"])
-def test_strong_lucas_matches_the_reference(modexp_path, part):
-    native = modexp.kernel()
+def test_strong_lucas_matches_the_reference(arithmetic, part):
+    native = primality.kernel()
     for n in lucas_corpus(part):
         passed, D = primality._strong_lucas(n)
         assert (passed, D) == reference_strong_lucas(n), n
@@ -193,13 +193,13 @@ def test_strong_lucas_matches_the_reference(modexp_path, part):
         d = (n + 1) >> int_valuation(n + 1, 2)
         u, v, qk = reference_lucas(D, d, n)
         P = (pow((1 - D) // 4, -1, n) - 2) % n
-        w, w1 = modexp.lucas_v(P, d >> 1, n)
+        w, w1 = primality.lucas_v(P, d >> 1, n)
         assert (u == 0) == (w == w1), n
         assert (v == 0) == ((w + w1) % n == 0), n
         assert ((v * v - 2 * qk) % n == 0) == ((w * w1 - P) % n == 0), n
-        if modexp_path == "native":
+        if arithmetic == "native":
             # the native W ladder itself, also below the crossover
-            assert native.lucas_v(P, d >> 1, n) == modexp._lucas_v(P, d >> 1, n), n
+            assert native.lucas_v(P, d >> 1, n) == primality._lucas_v(P, d >> 1, n), n
 
 
 def test_selfridge_q_is_prime_to_n():
@@ -213,14 +213,14 @@ def test_selfridge_q_is_prime_to_n():
             assert math.gcd((1 - D) // 4, n) == 1, n
 
 
-def test_both_w_ladders_follow_the_recurrence_on_small_n(modexp_path, monkeypatch):
+def test_both_w_ladders_follow_the_recurrence_on_small_n(arithmetic, monkeypatch):
     # with the crossover at 2 bits, lucas_v takes the native ladder for
     # every odd n > 1 on the native path, and the builtin one for n = 1
     # and every even n; above the real crossover, a prime and an even n
-    monkeypatch.setattr(modexp, "LUCAS_CROSSOVER_BITS", 2)
+    monkeypatch.setattr(primality, "LUCAS_CROSSOVER_BITS", 2)
     ran = []
-    builtin, native = modexp._lucas_v, libcrypto.Libcrypto.lucas_v
-    monkeypatch.setattr(modexp, "_lucas_v",
+    builtin, native = primality._lucas_v, libcrypto.Libcrypto.lucas_v
+    monkeypatch.setattr(primality, "_lucas_v",
                         lambda *args: ran.append("builtin") or builtin(*args))
     monkeypatch.setattr(libcrypto.Libcrypto, "lucas_v",
                         lambda *args: ran.append("native") or native(*args))
@@ -238,13 +238,13 @@ def test_both_w_ladders_follow_the_recurrence_on_small_n(modexp_path, monkeypatc
             for _ in ks:
                 w.append((P * w[-1] - w[-2]) % n)
             for k in ks:
-                assert modexp.lucas_v(P, k, n) == (w[k], w[k + 1]), (P, k, n)
+                assert primality.lucas_v(P, k, n) == (w[k], w[k + 1]), (P, k, n)
             if n >= 60:
                 for k in (0, 1, 2, 3, 10, 2**64 + 7):
                     # the ladder on k + 1 starts where this one ends
-                    assert modexp.lucas_v(P, k + 1, n)[0] == modexp.lucas_v(P, k, n)[1]
+                    assert primality.lucas_v(P, k + 1, n)[0] == primality.lucas_v(P, k, n)[1]
         odd = n % 2 == 1 and n > 1
-        assert set(ran) == {"native" if modexp_path == "native" and odd else "builtin"}, n
+        assert set(ran) == {"native" if arithmetic == "native" and odd else "builtin"}, n
 
 
 def test_kernel_is_unavailable_when_libcrypto_does_not_open(monkeypatch):
@@ -351,7 +351,7 @@ def test_kernel_raises_on_a_failed_call_and_frees_everything(failing, error):
 )
 def test_lucas_v_raises_on_a_failed_call_and_frees_everything(failing, error):
     n, P, k = 10007, 5001, 2501
-    fail_each_call(lambda native: native.lucas_v(P, k, n), modexp._lucas_v(P, k, n),
+    fail_each_call(lambda native: native.lucas_v(P, k, n), primality._lucas_v(P, k, n),
                    failing, error)
 
 
@@ -714,16 +714,17 @@ def test_search_hit_at_p13_does_not_depend_on_the_sieve_bound():
     ids=["hit", "budget", "d-range-end"],
 )
 def test_no_pool_worker_outlives_the_search(target5, config, stop, monkeypatch):
-    kernel_opened = []
+    pools = []
     executor_init = concurrent.futures.ThreadPoolExecutor.__init__
 
     def recording_init(self, *args, **kwargs):
-        kernel_opened.append(modexp._kernel is not modexp._UNOPENED)
+        pools.append(self)
         executor_init(self, *args, **kwargs)
 
     monkeypatch.setattr(concurrent.futures.ThreadPoolExecutor, "__init__",
                         recording_init)
-    monkeypatch.setattr(modexp, "_kernel", modexp._UNOPENED)
+    # the kernel is opened afresh, by the first worker thread that needs it
+    primality.kernel.cache_clear()
     forms = linear_forms(target5)
     config = replace(config, worker_count=2)
     threads = threading.enumerate()
@@ -734,8 +735,8 @@ def test_no_pool_worker_outlives_the_search(target5, config, stop, monkeypatch):
             search(forms, target5, config)
     assert threading.enumerate() == threads
     assert multiprocessing.active_children() == []
-    # one pool per search, started after the kernel was opened
-    assert kernel_opened == [True]
+    # one pool per search
+    assert len(pools) == 1
 
 
 def test_no_pool_starts_when_no_d_is_dispatched(target5, monkeypatch):
