@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -198,3 +200,32 @@ def test_oracle_vieta():
     pair = r1.residue * r2.residue + r1.residue * r3.residue + r2.residue * r3.residue
     assert pair % mod == A.residue
     assert (r1.residue * r2.residue * r3.residue) % mod == (-B).residue
+
+
+# sha256 over every digit the series produce for p: each build_bundle(p)
+# field at the default precision, then A and B of cubic_coefficients at
+# C9's guard precision 6p + 1, one "name=decimal" row each.  The `series`
+# pins in test_cli see only the 40 digits they print.
+SERIES_DIGITS_SHA256 = {
+    5: "87e417536d86a80daece6699ca7910fbbace61fa57e5de8f364aa206445554ea",
+    7: "b7c53e2f7d48ea279d37e36ea6c0db0126da4fb373ddca2d51fe8b2c08c70f31",
+    13: "828afbdff04de1b1ab07cb822e988cf9347b3a93e84c5901e68732627d4449e4",
+    31: "14de1536dc2a5af1cffe186addd30783bcf4bcf04296c5c30400fe0a40c72085",
+    41: "196aff181361f0487ad6ffaa99fffd97cb92cdafcf9e7c0ba8f864a1aea9eec0",
+    47: "1e786c5a1317066e2e76a2d1f0df6ab9c50516e6bbe9281a4b59a21da69d2949",
+    53: "8afc36f36cecb99a893bf2bce7dabc2a2cc4c51844ec4ceafb2ef3e18ba6a853",
+}
+
+
+@pytest.mark.parametrize("p", sorted(SERIES_DIGITS_SHA256))
+def test_every_series_digit_matches_its_pinned_digest(p):
+    def value(v):
+        return getattr(v, "residue", v)
+
+    bundle = build_bundle(p)
+    rows = [f"{f.name}={value(getattr(bundle, f.name))}"
+            for f in dataclasses.fields(bundle)]
+    a, b = cubic_coefficients(p, 6 * p + 1)
+    rows += [f"A={value(a)}", f"B={value(b)}"]
+    digest = hashlib.sha256("\n".join(rows).encode()).hexdigest()
+    assert digest == SERIES_DIGITS_SHA256[p]
