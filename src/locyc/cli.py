@@ -238,7 +238,7 @@ def _cmd_series(args) -> int:
     ]
     print(f"series data at q = {p}^{2 * p}, shown to {k} base-{p} digits")
     for name, value in rows:
-        print(f"{name:>6} = {format_expansion(value, k)}")
+        print(f"{name:>6} = {format_expansion(value, p, k)}")
     return 0
 
 

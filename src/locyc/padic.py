@@ -1,156 +1,18 @@
-"""Truncated p-adic integers with explicit precision tracking.
+"""p-adic integers as plain residues, and the helpers the series and
+the checks share.
 
-A value is a residue modulo p^N together with the exponent N.  All
-arithmetic is exact modulo the stated power of p; nothing is ever
-rounded silently.  Operations between two values require the same prime
-and produce the minimum of the two precisions.  Exact division by p^k
-(``shift_down``) reduces the precision by k, which is the one place
-where digits are genuinely consumed rather than merely truncated.
-
-Only nonnegative valuations are representable.
+A p-adic integer known to N digits is an int in [0, p^N): each function
+here and in ``tate_series`` states its N in its signature or docstring,
+and arithmetic on the residues is exact modulo that p^N.  Exact division
+by p^k (``shift_down``) takes a residue mod p^N to one mod p^(N-k); it is
+the one place where digits are genuinely consumed rather than merely
+truncated.
 """
 
 from __future__ import annotations
 
 import math
-import operator
-from dataclasses import dataclass
 from typing import Sequence
-
-
-class PrecisionError(ValueError):
-    """Raised when an operation cannot deliver its promised precision."""
-
-
-@dataclass(frozen=True)
-class PadicInt:
-    """Residue mod prime**precision, canonical least-nonnegative form."""
-
-    prime: int
-    precision: int
-    residue: int
-
-    def __post_init__(self):
-        if self.prime < 2:
-            raise ValueError(f"prime must be >= 2, got {self.prime}")
-        if self.precision < 1:
-            raise ValueError(f"precision must be >= 1, got {self.precision}")
-        if not 0 <= self.residue < self.prime**self.precision:
-            raise ValueError(
-                f"residue {self.residue} out of range for "
-                f"{self.prime}^{self.precision}"
-            )
-
-    @property
-    def modulus(self) -> int:
-        return self.prime**self.precision
-
-    def _coerce(self, other) -> "PadicInt":
-        if isinstance(other, PadicInt):
-            if other.prime != self.prime:
-                raise ValueError(
-                    f"prime mismatch: {self.prime} vs {other.prime}"
-                )
-            return other
-        if isinstance(other, int):
-            return PadicInt(self.prime, self.precision, other % self.modulus)
-        return NotImplemented
-
-    def _combine(self, other, op):
-        """self op other at the lesser of the two precisions."""
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        n = min(self.precision, o.precision)
-        return PadicInt(self.prime, n, op(self.residue, o.residue) % self.prime**n)
-
-    def __add__(self, other):
-        return self._combine(other, operator.add)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self._combine(other, operator.sub)
-
-    def __rsub__(self, other):
-        return self._combine(other, lambda a, b: b - a)
-
-    def __mul__(self, other):
-        return self._combine(other, operator.mul)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return PadicInt(self.prime, self.precision, (-self.residue) % self.modulus)
-
-    def __pow__(self, k: int):
-        if not isinstance(k, int) or k < 0:
-            return NotImplemented
-        return PadicInt(
-            self.prime, self.precision, pow(self.residue, k, self.modulus)
-        )
-
-    def valuation(self):
-        """Largest k <= precision with p^k dividing the residue.
-
-        A zero residue only certifies "at least the precision"; that case
-        returns math.inf so comparisons like ``valuation >= r`` behave as
-        intended whenever r <= precision.
-        """
-        return int_valuation(self.residue, self.prime)
-
-    def is_unit(self) -> bool:
-        return self.residue % self.prime != 0
-
-    def inv(self) -> "PadicInt":
-        """Multiplicative inverse; requires a unit (valuation 0)."""
-        if not self.is_unit():
-            raise ValueError(
-                f"not a unit: residue {self.residue} divisible by {self.prime}"
-            )
-        return PadicInt(
-            self.prime, self.precision, pow(self.residue, -1, self.modulus)
-        )
-
-    def shift_down(self, k: int) -> "PadicInt":
-        """Exact division by p^k.  Costs k digits of precision."""
-        if k < 0:
-            raise ValueError("shift_down needs k >= 0")
-        if k == 0:
-            return self
-        if self.precision - k < 1:
-            raise PrecisionError(
-                f"cannot divide by {self.prime}^{k} at precision {self.precision}"
-            )
-        pk = self.prime**k
-        if self.residue % pk != 0:
-            raise ValueError(
-                f"residue {self.residue} not divisible by {self.prime}^{k}"
-            )
-        return PadicInt(self.prime, self.precision - k, self.residue // pk)
-
-    def truncate(self, n: int) -> "PadicInt":
-        """Forget digits above p^n (n must not exceed the precision)."""
-        if n > self.precision:
-            raise PrecisionError(
-                f"cannot extend precision {self.precision} to {n}"
-            )
-        if n == self.precision:
-            return self
-        return PadicInt(self.prime, n, self.residue % self.prime**n)
-
-    def digits(self, k: int | None = None) -> list[int]:
-        """Base-p digits, least significant first."""
-        if k is None:
-            k = self.precision
-        if k > self.precision:
-            raise PrecisionError(f"only {self.precision} digits are known")
-        out = []
-        r = self.residue
-        for _ in range(k):
-            r, d = divmod(r, self.prime)
-            out.append(d)
-        return out
 
 
 def int_valuation(n: int, p: int):
@@ -177,12 +39,20 @@ def int_valuation(n: int, p: int):
     return v
 
 
-def from_rational(num: int, den: int, p: int, n: int) -> PadicInt:
-    """Embed num/den, which requires den to be a p-adic unit."""
+def from_rational(num: int, den: int, p: int, n: int) -> int:
+    """num/den mod p^n, which requires den to be a p-adic unit."""
     if den % p == 0:
-        raise ValueError(f"denominator {den} divisible by {p}")
+        raise ValueError(f"denominator ({den.bit_length()}-bit) divisible by {p}")
     m = p**n
-    return PadicInt(p, n, num * pow(den, -1, m) % m)
+    return num * pow(den, -1, m) % m
+
+
+def shift_down(x: int, p: int, k: int) -> int:
+    """Exact division by p^k: a residue mod p^N becomes one mod p^(N-k)."""
+    pk = p**k
+    if x % pk != 0:
+        raise ValueError(f"residue {x} not divisible by {p}^{k}")
+    return x // pk
 
 
 def _poly_eval_mod(coeffs: Sequence[int], x: int, m: int) -> int:
@@ -202,7 +72,7 @@ def hensel_lift(
     j: int,
     tau: int,
     precision: int | None = None,
-) -> PadicInt:
+) -> int:
     """Lift an approximate root of an integer polynomial into Z_p.
 
     ``coeffs`` lists the coefficients from the constant term upward.
@@ -211,6 +81,7 @@ def hensel_lift(
     j >= 2*tau + 1.  Under these the root beta is unique in the class
     alpha mod p^(j-tau), and each Newton step at least doubles the
     slack j - 2*tau, so refinement to any requested precision is cheap.
+    Returns beta mod p^precision, by default mod p^(j - tau).
     """
     deriv = _poly_deriv(coeffs)
     # exact evaluations: alpha and the coefficients are plain integers
@@ -258,18 +129,19 @@ def hensel_lift(
         known = min(2 * (known - tau), work)
     else:
         raise ArithmeticError("Newton iteration did not reach the target")
-    return PadicInt(p, target, x % p**target)
+    return x % p**target
 
 
-def format_expansion(a: PadicInt, k: int | None = None) -> str:
-    """Render c0 + c1*p + c2*p^2 + ... with digits in [0, p)."""
-    ds = a.digits(k)
+def format_expansion(x: int, p: int, k: int) -> str:
+    """Render the k lowest base-p digits of x as c0 + c1*p + c2*p^2 + ...
+    with digits in [0, p); x must be known mod p^k at least."""
     parts = []
-    for i, d in enumerate(ds):
+    for i in range(k):
+        x, d = divmod(x, p)
         if i == 0:
             parts.append(str(d))
         elif i == 1:
-            parts.append(f"{d}*{a.prime}")
+            parts.append(f"{d}*{p}")
         else:
-            parts.append(f"{d}*{a.prime}^{i}")
-    return " + ".join(parts) + f" + O({a.prime}^{len(ds)})"
+            parts.append(f"{d}*{p}^{i}")
+    return " + ".join(parts) + f" + O({p}^{k})"

@@ -80,9 +80,9 @@ def build_targets(bundle: TateBundle) -> CongruenceTarget:
             f"bundle precision {bundle.precision} below required {r}"
         )
     pr = p**r
-    d1 = (bundle.xpp2 - bundle.xpp1).truncate(r).residue
-    d2 = (bundle.xpp3 - bundle.xpp1).truncate(r).residue
-    x1_res = bundle.xpp1.truncate(r).residue
+    d1 = (bundle.xpp2 - bundle.xpp1) % pr
+    d2 = (bundle.xpp3 - bundle.xpp1) % pr
+    x1_res = bundle.xpp1 % pr
     s1 = crt_pair(1, 64, d1, pr)
     s2 = crt_pair(17, 64, d2, pr)
     a0_residue = crt_pair(0, 64, x1_res, pr)
@@ -147,6 +147,7 @@ def build_certificate(
     c0 = a0 + q2
     assert b0 - c0 == 16 * target.p**target.p * q3
     r = target.r
+    pr = target.p**r
     metadata = {"tool": f"locyc {__version__}"}
     if seed is not None:
         metadata["seed"] = str(seed)
@@ -163,11 +164,7 @@ def build_certificate(
         a0=a0,
         b0=b0,
         c0=c0,
-        series_digest=(
-            bundle.xpp1.truncate(r).residue,
-            bundle.xpp2.truncate(r).residue,
-            bundle.xpp3.truncate(r).residue,
-        ),
+        series_digest=(bundle.xpp1 % pr, bundle.xpp2 % pr, bundle.xpp3 % pr),
         primality=tuple(evidence),
         metadata=metadata,
     )

@@ -22,14 +22,16 @@ The truncation loops run until those lower bounds exceed the requested
 precision, so every computed digit is certified.  Each term n^k
 q^n/(1-q^n) of s_k likewise has valuation >= 2pn.
 
-All divisions by 3, 4, 9, 12, 16 are unit divisions since p >= 5.
+All divisions by 3, 4, 9, 12, 16 are unit divisions since p >= 5.  Every
+value is a plain int in [0, p^N) for the precision N each function
+states (see ``padic``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .padic import PadicInt, from_rational, hensel_lift
+from .padic import from_rational, hensel_lift, shift_down
 
 
 def _h(z: int, modulus: int) -> int:
@@ -37,7 +39,7 @@ def _h(z: int, modulus: int) -> int:
     return z * pow((1 - z) % modulus, -2, modulus) % modulus
 
 
-def s_k(p: int, k: int, precision: int) -> PadicInt:
+def s_k(p: int, k: int, precision: int) -> int:
     """sum_{n>=1} n^k q^n/(1-q^n) at q = p^(2p), truncated at p^precision."""
     if k not in (1, 3, 5):
         raise ValueError(f"k must be 1, 3 or 5, got {k}")
@@ -50,11 +52,12 @@ def s_k(p: int, k: int, precision: int) -> PadicInt:
         qn = pow(p, 2 * p * n, mod)
         total = (total + n**k * qn * pow((1 - qn) % mod, -1, mod)) % mod
         n += 1
-    return PadicInt(p, precision, total)
+    return total
 
 
-def tate_a_invariants(p: int, precision: int) -> tuple[PadicInt, PadicInt]:
-    """Coefficients of y^2 + xy = x^3 + a4 x + a6 for the parameter p^(2p).
+def tate_a_invariants(p: int, precision: int) -> tuple[int, int]:
+    """Coefficients of y^2 + xy = x^3 + a4 x + a6 for the parameter p^(2p),
+    mod p^precision.
 
     a4 = -5*s3 and a6 = -(5*s3 + 7*s5)/12.  The factor 5 matters: it is
     what makes the 2-torsion x-coordinate series the exact roots of the
@@ -63,15 +66,17 @@ def tate_a_invariants(p: int, precision: int) -> tuple[PadicInt, PadicInt]:
     """
     if p < 5:
         raise ValueError("p must be at least 5")
+    mod = p**precision
     s3 = s_k(p, 3, precision)
     s5 = s_k(p, 5, precision)
-    a4 = -(s3 * 5)
-    a6 = -((s3 * 5 + s5 * 7) * from_rational(1, 12, p, precision))
+    a4 = -5 * s3 % mod
+    a6 = -(5 * s3 + 7 * s5) * from_rational(1, 12, p, precision) % mod
     return a4, a6
 
 
-def two_torsion_x(p: int, which: int, precision: int) -> PadicInt:
-    """x-coordinate of a nontrivial 2-torsion point of the q = p^(2p) curve.
+def two_torsion_x(p: int, which: int, precision: int) -> int:
+    """x-coordinate of a nontrivial 2-torsion point of the q = p^(2p) curve,
+    mod p^precision.
 
     which = 1 is the point attached to u = -1; 2 and 3 are the points at
     u = p^p and u = -p^p.
@@ -80,13 +85,13 @@ def two_torsion_x(p: int, which: int, precision: int) -> PadicInt:
         raise ValueError("p must be at least 5 so that 4 is a unit")
     mod = p**precision
     if which == 1:
-        acc = from_rational(-1, 4, p, precision).residue
+        acc = from_rational(-1, 4, p, precision)
         n = 1
         while 2 * p * n <= precision:
             qn = pow(p, 2 * p * n, mod)
             acc = (acc - 2 * (_h(qn, mod) - _h(-qn, mod))) % mod
             n += 1
-        return PadicInt(p, precision, acc)
+        return acc
     if which in (2, 3):
         sign = 1 if which == 2 else -1
         acc = 0
@@ -95,24 +100,28 @@ def two_torsion_x(p: int, which: int, precision: int) -> PadicInt:
             um = pow(p, p * m, mod) * sign**m % mod
             acc = (acc + 2 * (-1) ** (m - 1) * _h(um, mod)) % mod
             m += 1
-        return PadicInt(p, precision, acc)
+        return acc
     raise ValueError(f"which must be 1, 2 or 3, got {which}")
 
 
 @dataclass(frozen=True)
 class TateBundle:
-    """Series data for one prime, everything at one working precision."""
+    """Series data for one prime at one working precision N.
+
+    a4, a6 and the xpp are residues mod p^N; alpha, beta and gamma are
+    residues mod p^(N - p), since extracting them divides by p^p.
+    """
 
     prime: int
     precision: int
-    a4: PadicInt
-    a6: PadicInt
-    xpp1: PadicInt  # normalized 2-torsion x-coords: (36*x + 3)/9
-    xpp2: PadicInt
-    xpp3: PadicInt
-    alpha: PadicInt  # unit factors: xpp2-xpp1 = 1 + 8*alpha*p^p,
-    beta: PadicInt   # xpp3-xpp1 = 1 - 8*beta*p^p,
-    gamma: PadicInt  # xpp2-xpp3 = 16*gamma*p^p
+    a4: int
+    a6: int
+    xpp1: int  # normalized 2-torsion x-coords: (36*x + 3)/9
+    xpp2: int
+    xpp3: int
+    alpha: int  # unit factors: xpp2-xpp1 = 1 + 8*alpha*p^p,
+    beta: int   # xpp3-xpp1 = 1 - 8*beta*p^p,
+    gamma: int  # xpp2-xpp3 = 16*gamma*p^p
 
 
 def target_precision(p: int) -> int:
@@ -131,16 +140,18 @@ def build_bundle(p: int, precision: int | None = None) -> TateBundle:
     if p < 5:
         raise ValueError("p must be at least 5")
     r = target_precision(p) if precision is None else precision
+    if r <= p:
+        raise ValueError(f"precision {r} must exceed p = {p}")
+    mod, low = p**r, p ** (r - p)
     a4, a6 = tate_a_invariants(p, r)
     third = from_rational(1, 3, p, r)
-    xpp1 = two_torsion_x(p, 1, r) * 4 + third
-    xpp2 = two_torsion_x(p, 2, r) * 4 + third
-    xpp3 = two_torsion_x(p, 3, r) * 4 + third
-    inv8 = from_rational(1, 8, p, r)
-    inv16 = from_rational(1, 16, p, r)
-    alpha = ((xpp2 - xpp1) - 1).shift_down(p) * inv8
-    beta = (1 - (xpp3 - xpp1)).shift_down(p) * inv8
-    gamma = (xpp2 - xpp3).shift_down(p) * inv16
+    xpp1, xpp2, xpp3 = ((4 * two_torsion_x(p, which, r) + third) % mod
+                        for which in (1, 2, 3))
+    inv8 = from_rational(1, 8, p, r - p)
+    inv16 = from_rational(1, 16, p, r - p)
+    alpha = shift_down((xpp2 - xpp1 - 1) % mod, p, p) * inv8 % low
+    beta = shift_down((1 - (xpp3 - xpp1)) % mod, p, p) * inv8 % low
+    gamma = shift_down((xpp2 - xpp3) % mod, p, p) * inv16 % low
     return TateBundle(
         prime=p,
         precision=r,
@@ -155,22 +166,21 @@ def build_bundle(p: int, precision: int | None = None) -> TateBundle:
     )
 
 
-def cubic_coefficients(p: int, precision: int) -> tuple[PadicInt, PadicInt]:
-    """(A, B) of the depressed cubic x^3 + A x + B whose roots are the
-    normalized 2-torsion x-coordinates: A = 16 a4 - 1/3 and
+def cubic_coefficients(p: int, precision: int) -> tuple[int, int]:
+    """(A, B) mod p^precision of the depressed cubic x^3 + A x + B whose
+    roots are the normalized 2-torsion x-coordinates: A = 16 a4 - 1/3 and
     B = 64 a6 - (16/3) a4 + 2/27."""
+    mod = p**precision
     a4, a6 = tate_a_invariants(p, precision)
-    A = a4 * 16 - from_rational(1, 3, p, precision)
-    B = a6 * 64 - a4 * 16 * from_rational(1, 3, p, precision) + from_rational(
-        2, 27, p, precision
-    )
+    third = from_rational(1, 3, p, precision)
+    A = (16 * a4 - third) % mod
+    B = (64 * a6 - 16 * a4 * third + from_rational(2, 27, p, precision)) % mod
     return A, B
 
 
-def oracle_cubic_roots(
-    p: int, precision: int
-) -> tuple[PadicInt, PadicInt, PadicInt]:
-    """Roots of the normalized 2-torsion cubic, found without the series.
+def oracle_cubic_roots(p: int, precision: int) -> tuple[int, int, int]:
+    """Roots mod p^precision of the normalized 2-torsion cubic, found
+    without the series.
 
     Three ``hensel_lift`` calls on x^3 + A x + B, with A and B taken p
     guard digits beyond ``precision``.  Mod p the cubic is
@@ -191,7 +201,7 @@ def oracle_cubic_roots(
         raise ValueError(f"precision {precision} must be at least p + 1 = {p + 1}")
     work = precision + p
     A, B = cubic_coefficients(p, work)
-    coeffs = [B.residue, A.residue, 0, 1]
+    coeffs = [B, A, 0, 1]
     third = pow(3, -1, p**work)
     offset = 8 * p**p
     j, tau = 2 * p + 1, p

@@ -1,8 +1,14 @@
+import ast
+import functools
+import gzip
+import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
+import tokenize
 from dataclasses import replace
 from pathlib import Path
 
@@ -253,6 +259,56 @@ def test_verifying_loads_no_construct_code(cert5, tmp_path):
     assert not threads
 
 
+_NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+             tokenize.DEDENT, tokenize.ENDMARKER}
+
+
+def code_lines(source: str) -> int:
+    """Lines holding a code token, leaving out docstrings, comments and
+    blank lines."""
+    docstrings = set()
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                              ast.AsyncFunctionDef))
+                and ast.get_docstring(node, clean=False) is not None):
+            doc = node.body[0]
+            docstrings.update(range(doc.lineno, doc.end_lineno + 1))
+    lines = set()
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type not in _NOT_CODE:
+            lines.update(range(tok.start[0], tok.end[0] + 1))
+    return len(lines - docstrings)
+
+
+def test_readme_states_the_trusted_base_in_code_lines():
+    # the modules `import locyc.certificate` loads, counted line by line,
+    # against the README's "Trusted base" paragraph: each module's figure
+    # and the total
+    code = (
+        "import json, sys\n"
+        "import locyc.certificate\n"
+        "print(json.dumps({n: m.__file__ for n, m in sys.modules.items()\n"
+        "                  if n.split('.')[0] == 'locyc'}))\n"
+    )
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True, timeout=120)
+    counted = {
+        "__init__" if name == "locyc" else name.split(".")[1]:
+            code_lines(Path(file).read_text())
+        for name, file in json.loads(done.stdout).items()
+    }
+    readme = (src.parent / "README.md").read_text()
+    paragraph = re.search(r"^Trusted base\.(.*?)\n\n", readme, re.S | re.M).group(1)
+    paragraph = " ".join(paragraph.split())
+    stated = {name: int(n) for name, n in
+              re.findall(r"`(\w+)` \((\d+)(?: code lines)?\)", paragraph)}
+    total = int(re.search(r": (\d+) lines", paragraph).group(1))
+    assert stated == counted
+    assert total == sum(counted.values())
+
+
 @pytest.mark.parametrize("b0_minus_c0", [0, -1])
 def test_parse_rejects_b0_not_above_c0(cert5, b0_minus_c0):
     doc = json.loads(emit(cert5))
@@ -354,6 +410,48 @@ def test_mutation_q3_residue(cert5):
     mutated = replace(cert5, q3=cert5.q3 + 5)
     report = verify_certificate(mutated)
     assert "C3" in report.failing() or "C2" in report.failing()
+
+
+STORED_CERTIFICATES = (
+    Path(__file__).resolve().parents[1] / "perfbench" / "data" / "verify_certs.json.gz"
+)
+
+
+@functools.cache
+def stored_texts():
+    """The verify benchmark's stored certificates by key: "p53-s1" is
+    p = 53 at the ladder flags with seed 1."""
+    with gzip.open(STORED_CERTIFICATES, "rt") as fh:
+        return json.load(fh)
+
+
+def test_c9_reports_the_valuation_of_c4_on_a_forged_a0():
+    # a0 moved by 64 k with p | b0 - a0 = q1 makes p divide c4, so 1/j is
+    # not p-integral; C9 reports v_p(c4) instead of dividing by c4^3, and
+    # no detail writes an integer of the file out in full
+    cert = parse(stored_texts()["p53-s1"])
+    p = cert.p
+    k = (cert.b0 - cert.a0) * pow(64, -1, p) % p
+    forged = replace(cert, a0=cert.a0 + 64 * k)
+    assert (forged.b0 - forged.a0) % p == 0
+    report = verify_certificate(forged)
+    by_id = {r.check_id: r for r in report.results}
+    assert not by_id["C9"].passed
+    assert by_id["C9"].details == "v_p(c4) = 2, expected 0"
+    assert not any(re.search(r"\d{21}", r.details) for r in report.results), report.lines()
+
+
+@pytest.mark.parametrize("p", [5, 7, 13, 31, 41, 47, 53])
+def test_a_translated_curve_fails_c1_alone(p):
+    # adding 64 t to every root keeps the differences, the discriminant,
+    # c4, the point counts and the classes mod 64, so only C1 ties the
+    # curve to the series
+    cert = parse(stored_texts()[f"p{p}-s1"])
+    for t in (1, 7, -1):
+        moved = replace(cert, a0=cert.a0 + 64 * t, b0=cert.b0 + 64 * t,
+                        c0=cert.c0 + 64 * t)
+        report = verify_certificate(moved)
+        assert report.failing() == ["C1"], (t, report.lines())
 
 
 def test_report_lines_format(cert5):

@@ -23,11 +23,11 @@ def test_target_residues_p5(bundle5, target5):
     assert t.s2 % 64 == 17
     assert t.a0_residue % 64 == 0
     pr = 5**21
-    d1 = (bundle5.xpp2 - bundle5.xpp1).residue
-    d2 = (bundle5.xpp3 - bundle5.xpp1).residue
+    d1 = (bundle5.xpp2 - bundle5.xpp1) % pr
+    d2 = (bundle5.xpp3 - bundle5.xpp1) % pr
     assert t.s1 % pr == d1
     assert t.s2 % pr == d2
-    assert t.a0_residue % pr == bundle5.xpp1.residue
+    assert t.a0_residue % pr == bundle5.xpp1
     assert (t.s1 - t.s2) % (16 * 5**5) == 0
 
 

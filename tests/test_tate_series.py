@@ -33,38 +33,38 @@ def sk_oracle(p: int, k: int, n: int) -> int:
 
 
 def test_s1_p5():
-    assert s_k(5, 1, 21).residue == sk_oracle(5, 1, 21)
-    assert s_k(5, 1, 21).residue == (5**10 + 3 * 5**20) % 5**21
+    assert s_k(5, 1, 21) == sk_oracle(5, 1, 21)
+    assert s_k(5, 1, 21) == (5**10 + 3 * 5**20) % 5**21
 
 
 def test_s3_p5():
-    assert s_k(5, 3, 21).residue == sk_oracle(5, 3, 21)
-    assert s_k(5, 3, 21).residue == (5**10 + 9 * 5**20) % 5**21
+    assert s_k(5, 3, 21) == sk_oracle(5, 3, 21)
+    assert s_k(5, 3, 21) == (5**10 + 9 * 5**20) % 5**21
 
 
 def test_s5_and_p7():
-    assert s_k(5, 5, 21).residue == sk_oracle(5, 5, 21)
+    assert s_k(5, 5, 21) == sk_oracle(5, 5, 21)
     for k in (1, 3, 5):
-        assert s_k(7, k, 29).residue == sk_oracle(7, k, 29)
+        assert s_k(7, k, 29) == sk_oracle(7, k, 29)
 
 
 def test_sk_below_first_term_is_zero():
     for p in (5, 7, 11):
-        assert s_k(p, 3, 1).residue == 0  # every term has valuation 2p > 1
+        assert s_k(p, 3, 1) == 0  # every term has valuation 2p > 1
 
 
 def test_a_invariants_p5():
     a4, a6 = tate_a_invariants(5, 21)
     s3 = Fraction(5**10 + 9 * 5**20)  # truncation-exact for this precision
     # classical normalization: a4 = -5*s3 (the 2-torsion tests below pin this)
-    assert a4.residue == embed(-5 * s3, 5, 21)
-    assert a6.residue == (-(5**10) - 23 * 5**20) % 5**21
+    assert a4 == embed(-5 * s3, 5, 21)
+    assert a6 == (-(5**10) - 23 * 5**20) % 5**21
 
 
 def test_a_invariants_vanish_at_precision_1():
     for p in (5, 7):
         a4, a6 = tate_a_invariants(p, 1)
-        assert a4.residue == 0 and a6.residue == 0
+        assert a4 == 0 and a6 == 0
 
 
 def h(z):
@@ -93,28 +93,28 @@ def x_oracle(p: int, which: int, n: int) -> int:
 @pytest.mark.parametrize("p,n", [(5, 21), (7, 29)])
 @pytest.mark.parametrize("which", [1, 2, 3])
 def test_two_torsion_series_match_exact_oracle(p, n, which):
-    assert two_torsion_x(p, which, n).residue == x_oracle(p, which, n)
+    assert two_torsion_x(p, which, n) == x_oracle(p, which, n)
 
 
 def test_two_torsion_leading_terms():
     # leading expansions: -1/4 - 4q, 2w + 2q + 8w^3, -2w + 2q - 8w^3
     p, n = 5, 21
     q, w, mod = 5**10, 5**5, 5**21
-    x1 = two_torsion_x(p, 1, n).residue
+    x1 = two_torsion_x(p, 1, n)
     assert (x1 - embed(Fraction(-1, 4), p, n) + 4 * q) % q**2 == 0
-    x2 = two_torsion_x(p, 2, n).residue
+    x2 = two_torsion_x(p, 2, n)
     assert (x2 - (2 * w + 2 * q + 8 * w**3)) % 5**20 == 0
-    x3 = two_torsion_x(p, 3, n).residue
+    x3 = two_torsion_x(p, 3, n)
     assert (x3 - (-2 * w + 2 * q - 8 * w**3)) % 5**20 == 0
 
 
 def test_monotone_refinement():
     for n1, n2 in [(6, 21), (11, 31), (21, 41)]:
-        low = s_k(5, 3, n1).residue
-        assert s_k(5, 3, n2).residue % 5**n1 == low
+        low = s_k(5, 3, n1)
+        assert s_k(5, 3, n2) % 5**n1 == low
         for which in (1, 2, 3):
-            a = two_torsion_x(5, which, n1).residue
-            assert two_torsion_x(5, which, n2).residue % 5**n1 == a
+            a = two_torsion_x(5, which, n1)
+            assert two_torsion_x(5, which, n2) % 5**n1 == a
 
 
 def test_division_cubic_vieta_pins_a_invariants():
@@ -125,10 +125,10 @@ def test_division_cubic_vieta_pins_a_invariants():
         n = 4 * p + 1
         mod = p**n
         a4, a6 = tate_a_invariants(p, n)
-        x1, x2, x3 = (two_torsion_x(p, w, n).residue for w in (1, 2, 3))
+        x1, x2, x3 = (two_torsion_x(p, w, n) for w in (1, 2, 3))
         assert (x1 + x2 + x3) % mod == embed(Fraction(-1, 4), p, n)
-        assert (x1 * x2 + x1 * x3 + x2 * x3) % mod == a4.residue
-        assert (x1 * x2 * x3) % mod == (-a6).residue
+        assert (x1 * x2 + x1 * x3 + x2 * x3) % mod == a4
+        assert (x1 * x2 * x3) % mod == -a6 % mod
 
 
 @pytest.mark.parametrize("p", [5, 7])
@@ -140,20 +140,20 @@ def test_bundle_invariants(p):
     inv9 = pow(9, -1, mod)
     for which, xpp in ((1, b.xpp1), (2, b.xpp2), (3, b.xpp3)):
         x = two_torsion_x(p, which, r)
-        assert xpp.residue == (36 * x.residue + 3) * inv9 % mod
+        assert xpp == (36 * x + 3) * inv9 % mod
     # stated digit patterns
     third = embed(Fraction(1, 3), p, r)
-    assert (b.xpp1.residue - embed(Fraction(-2, 3), p, r)) % p**p == 0
-    assert (b.xpp2.residue - (third + 8 * p**p)) % p ** (p + 1) == 0
-    assert (b.xpp3.residue - (third - 8 * p**p)) % p ** (p + 1) == 0
+    assert (b.xpp1 - embed(Fraction(-2, 3), p, r)) % p**p == 0
+    assert (b.xpp2 - (third + 8 * p**p)) % p ** (p + 1) == 0
+    assert (b.xpp3 - (third - 8 * p**p)) % p ** (p + 1) == 0
     # difference structure: the unit factors reproduce the differences
     mod_low = p ** (r - p)
-    d21 = (b.xpp2 - b.xpp1).residue
-    d31 = (b.xpp3 - b.xpp1).residue
-    d23 = (b.xpp2 - b.xpp3).residue
-    assert ((d21 - 1) // p**p) % mod_low == 8 * b.alpha.residue % mod_low
-    assert ((1 - d31) % mod // p**p) % mod_low == 8 * b.beta.residue % mod_low
-    assert (d23 // p**p) % mod_low == 16 * b.gamma.residue % mod_low
+    d21 = (b.xpp2 - b.xpp1) % mod
+    d31 = (b.xpp3 - b.xpp1) % mod
+    d23 = (b.xpp2 - b.xpp3) % mod
+    assert ((d21 - 1) // p**p) % mod_low == 8 * b.alpha % mod_low
+    assert ((1 - d31) % mod // p**p) % mod_low == 8 * b.beta % mod_low
+    assert (d23 // p**p) % mod_low == 16 * b.gamma % mod_low
 
 
 def _oracle_case(p, level):
@@ -177,10 +177,10 @@ def _oracle_case(p, level):
 def test_oracle_equivalence_full_precision(p, n):
     b = build_bundle(p)
     r1, r2, r3 = oracle_cubic_roots(p, n)
-    assert all(r.precision == n for r in (r1, r2, r3))
-    assert r1.residue == b.xpp1.residue % p**n
-    assert r2.residue == b.xpp2.residue % p**n
-    assert r3.residue == b.xpp3.residue % p**n
+    assert all(0 <= r < p**n for r in (r1, r2, r3))
+    assert r1 == b.xpp1 % p**n
+    assert r2 == b.xpp2 % p**n
+    assert r3 == b.xpp3 % p**n
 
 
 def test_oracle_rejects_precision_p():
@@ -196,10 +196,10 @@ def test_oracle_vieta():
     mod = p**n
     A, B = cubic_coefficients(p, n)
     r1, r2, r3 = oracle_cubic_roots(p, n)
-    assert (r1.residue + r2.residue + r3.residue) % mod == 0
-    pair = r1.residue * r2.residue + r1.residue * r3.residue + r2.residue * r3.residue
-    assert pair % mod == A.residue
-    assert (r1.residue * r2.residue * r3.residue) % mod == (-B).residue
+    assert (r1 + r2 + r3) % mod == 0
+    pair = r1 * r2 + r1 * r3 + r2 * r3
+    assert pair % mod == A
+    assert (r1 * r2 * r3) % mod == -B % mod
 
 
 # sha256 over every digit the series produce for p: each build_bundle(p)
@@ -219,13 +219,17 @@ SERIES_DIGITS_SHA256 = {
 
 @pytest.mark.parametrize("p", sorted(SERIES_DIGITS_SHA256))
 def test_every_series_digit_matches_its_pinned_digest(p):
-    def value(v):
-        return getattr(v, "residue", v)
-
     bundle = build_bundle(p)
-    rows = [f"{f.name}={value(getattr(bundle, f.name))}"
+    rows = [f"{f.name}={getattr(bundle, f.name)}"
             for f in dataclasses.fields(bundle)]
     a, b = cubic_coefficients(p, 6 * p + 1)
-    rows += [f"A={value(a)}", f"B={value(b)}"]
+    rows += [f"A={a}", f"B={b}"]
     digest = hashlib.sha256("\n".join(rows).encode()).hexdigest()
     assert digest == SERIES_DIGITS_SHA256[p]
+
+
+def test_bundle_rejects_precision_at_most_p():
+    # alpha, beta and gamma are known mod p^(N - p), which needs N > p
+    for n in (5, 3):
+        with pytest.raises(ValueError, match="must exceed p"):
+            build_bundle(5, precision=n)
