@@ -1,7 +1,8 @@
 """Primality decisions, with the evidence a certificate records.
 
-``is_prime`` is deterministic below 2^64: trial division by the primes
-up to ``TRIAL_BOUND``, then fixed Miller-Rabin bases.  Above, it runs
+``is_prime`` is deterministic below psi_12 = 318665857834031151167461
+(about 3.19*10^23, a 79-bit number): trial division by the primes up to
+``TRIAL_BOUND``, then fixed Miller-Rabin bases.  Above, it runs
 BPSW (a base-2 strong-probable-prime test and a strong Lucas test with
 Selfridge's parameters) plus fixed extra strong-probable-prime rounds,
 and labels its verdict probable-prime.  The search screens with
@@ -108,8 +109,11 @@ def lucas_v(P: int, k: int, n: int) -> tuple[int, int]:
     return _lucas_v(P, k, n)
 
 
-# Deterministic Miller-Rabin bases, valid for every n < 3.3*10^24
-# (covers all n below 2^64 with a wide margin).
+# Deterministic Miller-Rabin bases.  The first 12 primes decide every n
+# below psi_12 = _MR_DETERMINISTIC_LIMIT (about 3.19*10^23, 79 bits),
+# where is_prime stops calling a verdict deterministic; all 13 would also
+# decide every n below psi_13 = 3317044064679887385961981 (about
+# 3.3*10^24; Sorenson and Webster, 2015).
 _MR_BASES_64 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_DETERMINISTIC_LIMIT = 318665857834031151167461
 TRIAL_BOUND = 1000
@@ -231,7 +235,8 @@ def _strong_lucas(n: int):
 def is_prime(n: int) -> PrimalityEvidence:
     """Primality verdict with recorded method and witnesses.
 
-    Deterministic below 2^64 (trial division, then fixed Miller-Rabin
+    Deterministic below psi_12 = 318665857834031151167461, about
+    3.19*10^23 or 79 bits (trial division, then fixed Miller-Rabin
     bases).  Above, a strong base-2 + strong Lucas combination plus a
     fixed set of extra strong-probable-prime rounds; those verdicts are
     labelled probable-prime.

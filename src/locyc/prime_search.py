@@ -30,19 +30,19 @@ Only where a hit can be does the search run Miller-Rabin:
   primality test.
 - Screen.  A base-2 strong-probable-prime test.  Q3 gets the screen
   alone before its window is sieved.  A window survivor is screened on
-  Q2(Y) first, through a per-search memo indexed by Y: as Y runs over
-  the same range for every d, each Q2 value is screened once per search
-  (or once by each worker thread that reaches it before its verdict is
-  stored).  Only a survivor whose Q2 passed is screened on Q1.  When
-  both pass, ``is_prime`` runs on Q1 and then Q2.  The
-  memo holds the screen's verdict alone: a Q2 that passes the screen
+  Q2(Y) first, through a per-search ``functools.cache`` keyed by Y: as
+  Y runs over the same range for every d, each Q2 value is screened
+  once per search (or once by each worker thread that reaches it before
+  its verdict is cached).  Only a survivor whose Q2 passed is screened
+  on Q1.  When both pass, ``is_prime`` runs on Q1 and then Q2.  The
+  cache holds the screen's verdict alone: a Q2 that passes the screen
   and then fails ``is_prime`` (a base-2 strong pseudoprime) is tested
   again in any later window whose Q1 passes.  Once a window has its hit,
   ``is_prime`` runs on Q3, and if it rejects Q3 the d counts as one
   whose Q3 is not prime.  A prime passes the screen, and the hit is the
   first X at which the conjunction holds, so the hit is the one that
   testing every Q3 and every survivor with ``is_prime`` would find.
-  The memo only skips repeated work: what a probe returns depends on d
+  The cache only skips repeated work: what a probe returns depends on d
   alone.
 - Evidence.  The search returns the ``is_prime`` evidence it computed
   for the hit's Q1, Q2 and Q3; the certificate check C2 re-tests all
@@ -69,17 +69,11 @@ Probes and workers:
   stream sets the tables' ``stopped`` flag, which ends a probe that ran
   ahead before its next survivor, cancels the tasks not yet started and
   joins the threads, so no worker outlives ``search``.
-- Shared memo.  Every thread probes with the search's one
-  ``SieveTables``, and so with one Q2 memo.  Two threads that reach the
-  same unscreened Y both screen it and store the same verdict, so the
-  race repeats a screen and never changes one.  A probe's result,
-  counters included, depends on d alone: the memo only decides which
-  screens are computed rather than looked up.
 
 Budget accounting: every d examined costs one test, whether the sieve,
 the screen or ``is_prime`` rejected its Q3; a window survivor costs one
 test, plus one more when its Q2 passes the screen.  A test that the
-memo answers still counts, so the counters do not depend on the memo's
+cache answers still counts, so the counters do not depend on the cache's
 state or on the worker count.  No d is examined once the budget is
 spent.  The default sieve bound grows with the bit size of the window
 forms and with the window, up to 16384 (``default_sieve_bound``).
@@ -93,6 +87,7 @@ import time
 from array import array
 from contextlib import closing
 from dataclasses import dataclass, replace
+from functools import cache
 from itertools import compress, islice
 
 from .primality import (
@@ -235,10 +230,8 @@ class SieveTables:
     [d_lo, d_lo + d_range + x_window - 1) and q2_marks over Y in
     [0, x_window), the Y = X - d of every window.  A mark is set where
     a sieve prime divides the form value without being equal to it.
-    q2_screen[Y] is the base-2 screen's verdict on Q2(Y) in this
-    search so far: ``_Q2_UNKNOWN`` until a survivor first screens it,
-    then ``_Q2_FAILED`` or ``_Q2_PASSED`` for good (only ``_probe_d``
-    writes it).  ``stopped`` is set once the search has stopped; a probe
+    q2_passes(Y) is the base-2 screen's verdict on Q2(Y), cached for
+    the search.  ``stopped`` is set once the search has stopped; a probe
     still running then ends before its next survivor.
     """
 
@@ -257,7 +250,8 @@ class SieveTables:
         self.q3_marks = bytearray(d_range)
         _sieve_form(self.q3_marks, d_lo, forms.q3_constant, forms.q3_coefficient,
                     ells, q3_roots)
-        self.q2_screen = bytearray(x_window)  # all _Q2_UNKNOWN
+        # _passes_screen is looked up at each call, so a wrapper sees every one
+        self.q2_passes = cache(lambda y: _passes_screen(forms.q2_at(y)))
         self.stopped = False
 
     def window_marks(self, d: int) -> bytes:
@@ -277,10 +271,6 @@ def _passes_screen(n: int) -> bool:
     return n < 3 or strong_probable_prime(n, 2)
 
 
-# states of SieveTables.q2_screen[y]: Q2(y) not screened yet, failed the
-# screen, or passed it
-_Q2_UNKNOWN, _Q2_FAILED, _Q2_PASSED = range(3)
-
 # (q3_was_prime, hit, tests, survivors) of a d whose Q3 is not prime; the
 # one test is the sieve's, the screen's or is_prime's
 _Q3_NOT_PRIME = (False, None, 1, 0)
@@ -292,7 +282,7 @@ def _probe_d(tables: SieveTables, d: int):
 
     Returns (q3_was_prime, hit, tests, survivors) with hit either None or
     (x, (Q1 evidence, Q2 evidence, Q3 evidence)).  The result is a
-    function of d and the search's forms alone; the Q2 memo in
+    function of d and the search's forms alone; the Q2 cache in
     ``tables`` only skips repeated work.  A probe that finds
     ``tables.stopped`` set ends before its next survivor, with a result
     that is not d's: the search reads no result after its stop.
@@ -304,7 +294,7 @@ def _probe_d(tables: SieveTables, d: int):
     if not _passes_screen(q3):
         return _Q3_NOT_PRIME
     marks = tables.window_marks(d)
-    q2_screen = tables.q2_screen
+    q2_passes = tables.q2_passes
     tests = 1
     survivors = 0
     i = marks.find(0)
@@ -313,11 +303,7 @@ def _probe_d(tables: SieveTables, d: int):
         i = marks.find(0, i + 1)
         survivors += 1
         tests += 1
-        state = q2_screen[y]
-        if state == _Q2_UNKNOWN:
-            state = _Q2_PASSED if _passes_screen(forms.q2_at(y)) else _Q2_FAILED
-            q2_screen[y] = state
-        if state == _Q2_FAILED:
+        if not q2_passes(y):
             continue
         tests += 1
         x = d + y

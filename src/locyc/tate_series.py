@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .padic import from_rational, hensel_lift, shift_down
+from .padic import from_rational, shift_down
 
 
 def _h(z: int, modulus: int) -> int:
@@ -177,36 +177,3 @@ def cubic_coefficients(p: int, precision: int) -> tuple[int, int]:
     B = (64 * a6 - 16 * a4 * third + from_rational(2, 27, p, precision)) % mod
     return A, B
 
-
-def oracle_cubic_roots(p: int, precision: int) -> tuple[int, int, int]:
-    """Roots mod p^precision of the normalized 2-torsion cubic, found
-    without the series.
-
-    Three ``hensel_lift`` calls on x^3 + A x + B, with A and B taken p
-    guard digits beyond ``precision``.  Mod p the cubic is
-    (x + 2/3)(x - 1/3)^2.  The simple root lifts from -2/3 mod p with
-    (j, tau) = (1, 0).  The congruent pair lifts from 1/3 + 8 p^p and
-    from 1/3 - 8 p^p with (j, tau) = (2p + 1, p): each root lies within
-    O(p^(2p)) of its seed, so f has valuation at least 3p there and f'
-    exactly p, and the root is the only one in its seed's class mod
-    p^(p+1).  With v(f') = p a root of the truncated cubic keeps p
-    fewer digits than the coefficients, which the guard digits pay for.
-    The domain is precision >= p + 1, where the coefficients certify
-    v(f) >= 2p + 1 at the pair's seeds; below it ValueError is raised
-    (at precision p the 2p-digit coefficients still pass the lift's
-    check by chance for some p, 1747 and 1753 among them).  Ordering:
-    the root near -2/3 first, then the +8 p^p root, then the -8 p^p root.
-    """
-    if precision <= p:
-        raise ValueError(f"precision {precision} must be at least p + 1 = {p + 1}")
-    work = precision + p
-    A, B = cubic_coefficients(p, work)
-    coeffs = [B, A, 0, 1]
-    third = pow(3, -1, p**work)
-    offset = 8 * p**p
-    j, tau = 2 * p + 1, p
-    return (
-        hensel_lift(coeffs, -2 * third % p, p, j=1, tau=0, precision=precision),
-        hensel_lift(coeffs, third + offset, p, j=j, tau=tau, precision=precision),
-        hensel_lift(coeffs, third - offset, p, j=j, tau=tau, precision=precision),
-    )

@@ -20,7 +20,8 @@ from locyc.curve_model import (
 )
 from locyc.padic import hensel_lift
 from locyc.primality import is_prime
-from locyc.tate_series import build_bundle, oracle_cubic_roots
+from locyc.tate_series import build_bundle
+from test_tate_series import oracle_cubic_roots
 
 
 def criterion(name):

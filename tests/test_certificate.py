@@ -215,6 +215,29 @@ def test_verify_fails_fast_on_a_certificate_edited_to_a_large_p(tmp_path):
     assert not any("Exceeds the limit" in r.details for r in report.results)
 
 
+def test_verify_fails_fast_on_a_certificate_with_a_huge_valuation():
+    # q1 = b0 - a0 = 5^60000 gives v_5(delta) = 120000 in an 87 KB file,
+    # which Python 3.10.0-3.10.6 parse, having no cap on decimal digits.
+    # With one division per digit int_valuation took 26 s on it (2-core
+    # Xeon VM), a time quadratic in the file's size.  Where the cap
+    # exists (3.10.7 on) the test lifts it and restores it afterwards
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        doc = json.loads(stored_texts()["p5-s1"])
+        q1 = 5**60000
+        doc["b0"], doc["q1"] = str(int(doc["a0"]) + q1), str(q1)
+        t0 = time.monotonic()
+        report = verify_certificate(parse(json.dumps(doc)))
+        assert time.monotonic() - t0 < 10
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+    assert not report.all_passed
+    by_id = {r.check_id: r for r in report.results}
+    assert by_id["C7"].details.startswith("v_p(delta) = 120000,"), by_id["C7"].details
+
 
 @pytest.mark.parametrize("p", [25, 35])
 def test_a_composite_p_fails_c3_and_c12(tmp_path, p):

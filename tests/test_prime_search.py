@@ -748,36 +748,38 @@ def test_no_pool_starts_when_no_d_is_dispatched(target5, monkeypatch):
         search(linear_forms(target5), target5, SearchConfig(budget=0, worker_count=2))
 
 
-def test_threads_share_the_q2_memo_without_a_wrong_verdict(target5, monkeypatch):
+def test_threads_sharing_the_q2_cache_match_one_worker(target5, monkeypatch):
     # more worker threads than CPUs, switching as often as the interpreter
-    # allows: every verdict in the shared memo must be the screen's, and
-    # the hit must be one worker's
-    tables = []
-    tables_init = SieveTables.__init__
-
-    def recording_init(self, *args):
-        tables_init(self, *args)
-        tables.append(self)
-
-    monkeypatch.setattr(SieveTables, "__init__", recording_init)
+    # allows: the hit and the counters must be one worker's, and no thread
+    # screens a Q2 value twice in one search
     forms = linear_forms(target5)
-    hits = []
+    q2_values = {forms.q2_at(y) for y in range(SearchConfig().x_window)}
+    screens = []  # per search, (thread, Q2 value) of every Q2 screen
+    passes_screen = prime_search._passes_screen
+
+    def recording(n):
+        if n in q2_values:
+            screens[-1].append((threading.get_ident(), n))
+        return passes_screen(n)
+
+    monkeypatch.setattr(prime_search, "_passes_screen", recording)
+    hits, stats = [], []
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for workers in (1, (os.cpu_count() or 1) + 1):
+            screens.append([])
             hits.append(search(forms, target5, SearchConfig(seed=1, worker_count=workers)))
+            screens.append([])
+            with pytest.raises(BudgetExhaustedError) as info:
+                search(forms, target5, replace(NO_HIT, worker_count=workers))
+            stats.append(replace(info.value.stats, elapsed_s=0.0))
     finally:
         sys.setswitchinterval(interval)
     assert hits[1] == hits[0]
-    one, many = (t.q2_screen for t in tables)
-    for y, state in enumerate(many):
-        passed = prime_search._passes_screen(forms.q2_at(y))
-        screened = prime_search._Q2_PASSED if passed else prime_search._Q2_FAILED
-        assert state in (prime_search._Q2_UNKNOWN, screened), y
-        # the threads probed every d one worker probed
-        assert one[y] in (prime_search._Q2_UNKNOWN, state), y
-    assert any(one)
+    assert stats[1] == stats[0]
+    for calls in screens:
+        assert len(calls) == len(set(calls)) > 0
 
 
 def test_tiny_budgets_stop_alike_for_every_worker_count(target5):

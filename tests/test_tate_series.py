@@ -4,10 +4,10 @@ from fractions import Fraction
 
 import pytest
 
+from locyc.padic import hensel_lift
 from locyc.tate_series import (
     build_bundle,
     cubic_coefficients,
-    oracle_cubic_roots,
     s_k,
     tate_a_invariants,
     two_torsion_x,
@@ -154,6 +154,40 @@ def test_bundle_invariants(p):
     assert ((d21 - 1) // p**p) % mod_low == 8 * b.alpha % mod_low
     assert ((1 - d31) % mod // p**p) % mod_low == 8 * b.beta % mod_low
     assert (d23 // p**p) % mod_low == 16 * b.gamma % mod_low
+
+
+def oracle_cubic_roots(p: int, precision: int) -> tuple[int, int, int]:
+    """Roots mod p^precision of the normalized 2-torsion cubic, found
+    without the series: the reference the series are checked against.
+
+    Three ``hensel_lift`` calls on x^3 + A x + B, with A and B taken p
+    guard digits beyond ``precision``.  Mod p the cubic is
+    (x + 2/3)(x - 1/3)^2.  The simple root lifts from -2/3 mod p with
+    (j, tau) = (1, 0).  The congruent pair lifts from 1/3 + 8 p^p and
+    from 1/3 - 8 p^p with (j, tau) = (2p + 1, p): each root lies within
+    O(p^(2p)) of its seed, so f has valuation at least 3p there and f'
+    exactly p, and the root is the only one in its seed's class mod
+    p^(p+1).  With v(f') = p a root of the truncated cubic keeps p
+    fewer digits than the coefficients, which the guard digits pay for.
+    The domain is precision >= p + 1, where the coefficients certify
+    v(f) >= 2p + 1 at the pair's seeds; below it ValueError is raised
+    (at precision p the 2p-digit coefficients still pass the lift's
+    check by chance for some p, 1747 and 1753 among them).  Ordering:
+    the root near -2/3 first, then the +8 p^p root, then the -8 p^p root.
+    """
+    if precision <= p:
+        raise ValueError(f"precision {precision} must be at least p + 1 = {p + 1}")
+    work = precision + p
+    A, B = cubic_coefficients(p, work)
+    coeffs = [B, A, 0, 1]
+    third = pow(3, -1, p**work)
+    offset = 8 * p**p
+    j, tau = 2 * p + 1, p
+    return (
+        hensel_lift(coeffs, -2 * third % p, p, j=1, tau=0, precision=precision),
+        hensel_lift(coeffs, third + offset, p, j=j, tau=tau, precision=precision),
+        hensel_lift(coeffs, third - offset, p, j=j, tau=tau, precision=precision),
+    )
 
 
 def _oracle_case(p, level):
