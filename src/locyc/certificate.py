@@ -105,14 +105,10 @@ def _run(check_id, name, fn) -> CheckResult:
     return CheckResult(check_id, name, bool(ok), details)
 
 
-def _fresh_xpp(p: int, r: int):
-    bundle = tate_series.build_bundle(p, precision=r)
-    return bundle.xpp1, bundle.xpp2, bundle.xpp3
-
-
 def _c1(cert: Certificate):
     pr = cert.p**cert.r
-    x1, x2, x3 = _fresh_xpp(cert.p, cert.r)
+    bundle = tate_series.build_bundle(cert.p, precision=cert.r)
+    x1, x2, x3 = bundle.xpp1, bundle.xpp2, bundle.xpp3
     if cert.series_digest != (x1, x2, x3):
         return False, "series_digest differs from the recomputed coordinates"
     conds = [

@@ -29,7 +29,6 @@ from .certificate import (
     verify_certificate,
     with_report,
 )
-from .padic import format_expansion
 from .primality import is_prime
 from .prime_search import BudgetExhaustedError, SearchConfig, search, with_sieve_bound
 from .target_builder import build_certificate, build_targets, linear_forms
@@ -119,7 +118,7 @@ def _write_atomically(path: str, text: str) -> None:
     holds either nothing or the whole text."""
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        with open(tmp, "w") as fh:
+        with open(tmp, "w", encoding="utf-8") as fh:
             fh.write(text)
         os.replace(tmp, path)
     finally:
@@ -201,7 +200,7 @@ def _cmd_construct(args) -> int:
 
 def _cmd_verify(args) -> int:
     try:
-        with open(args.file) as fh:
+        with open(args.file, encoding="utf-8") as fh:
             cert = parse(fh.read())
     except OSError as exc:
         print(f"error: cannot read {args.file}: {exc}", file=sys.stderr)
@@ -217,6 +216,21 @@ def _cmd_verify(args) -> int:
         return 0
     print(f"verdict: FAILED checks {report.failing()}")
     return 1
+
+
+def format_expansion(x: int, p: int, k: int) -> str:
+    """Render the k lowest base-p digits of x as c0 + c1*p + c2*p^2 + ...
+    with digits in [0, p); x must be known mod p^k at least."""
+    parts = []
+    for i in range(k):
+        x, d = divmod(x, p)
+        if i == 0:
+            parts.append(str(d))
+        elif i == 1:
+            parts.append(f"{d}*{p}")
+        else:
+            parts.append(f"{d}*{p}^{i}")
+    return " + ".join(parts) + f" + O({p}^{k})"
 
 
 def _cmd_series(args) -> int:

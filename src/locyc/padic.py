@@ -66,10 +66,6 @@ def _poly_eval_mod(coeffs: Sequence[int], x: int, m: int) -> int:
     return sum(c * pow(x, i, m) for i, c in enumerate(coeffs) if c) % m
 
 
-def _poly_deriv(coeffs: Sequence[int]) -> list[int]:
-    return [i * c for i, c in enumerate(coeffs) if i >= 1]
-
-
 def hensel_lift(
     coeffs: Sequence[int],
     alpha: int,
@@ -88,7 +84,7 @@ def hensel_lift(
     slack j - 2*tau, so refinement to any requested precision is cheap.
     Returns beta mod p^precision, by default mod p^(j - tau).
     """
-    deriv = _poly_deriv(coeffs)
+    deriv = [i * c for i, c in enumerate(coeffs) if i >= 1]
     # exact evaluations: alpha and the coefficients are plain integers
     fa = sum(c * alpha**i for i, c in enumerate(coeffs) if c)
     fpa = sum(c * alpha**i for i, c in enumerate(deriv) if c)
@@ -114,39 +110,26 @@ def hensel_lift(
     big = p**work
     x = alpha % big
     known = j  # certified: v_p(f(x)) >= known
-    for _ in range(64):
-        if known - tau >= target:
-            break
+    # Each step doubles known - 2*tau (capped at work), and j >= 2*tau + 1
+    # makes it at least 1, so the loop ends within ceil(log2(target)) steps.
+    while known - tau < target:
         fx = _poly_eval_mod(coeffs, x, big)
+        # x is a root mod p^work, so beta agrees with it to work - tau
+        # digits, past target.  known is only a lower bound: C10 lifts
+        # with a slack j - 2*tau of 1, and f(x) vanishes mod p^work long
+        # before known doubles up to target.  Without this exit each C10
+        # lift at p = 53 evaluates f or f' 14 times instead of 5.
         if fx == 0:
-            known = work
             break
         dx = _poly_eval_mod(deriv, x, big)
+        # the certification of this step rests on v_p(f'(x)) = tau
         v_dx = int_valuation(dx, p)
         if v_dx != tau:
-            raise ArithmeticError(
-                f"derivative valuation drifted to {v_dx} during lifting"
-            )
-        unit = dx // p**tau
+            raise ArithmeticError(f"derivative valuation drifted to {v_dx} "
+                                  "during lifting")
         step_mod = p ** (work - tau)
-        delta = (fx // p**tau) * pow(unit, -1, step_mod) % step_mod
+        delta = (fx // p**tau) * pow(dx // p**tau, -1, step_mod) % step_mod
         x = (x - delta) % big
         known = min(2 * (known - tau), work)
-    else:
-        raise ArithmeticError("Newton iteration did not reach the target")
     return x % p**target
 
-
-def format_expansion(x: int, p: int, k: int) -> str:
-    """Render the k lowest base-p digits of x as c0 + c1*p + c2*p^2 + ...
-    with digits in [0, p); x must be known mod p^k at least."""
-    parts = []
-    for i in range(k):
-        x, d = divmod(x, p)
-        if i == 0:
-            parts.append(str(d))
-        elif i == 1:
-            parts.append(f"{d}*{p}")
-        else:
-            parts.append(f"{d}*{p}^{i}")
-    return " + ".join(parts) + f" + O({p}^{k})"

@@ -17,6 +17,7 @@ turns that point into the (unverified) certificate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from . import __version__
@@ -110,18 +111,18 @@ def linear_forms(target: CongruenceTarget) -> LinearFormTriple:
         q12_coefficient=64 * p**r,
         q3_coefficient=4 * p ** (r - p),
     )
-    # a form whose constant shares a factor with its coefficient can
-    # essentially never be prime; guard against that for 2, 3, 5 and p
+    # every value of a form is divisible by gcd(constant, coefficient),
+    # so the search needs it to be 1; the coefficients' prime factors
+    # are 2 and p, so this asks for an odd constant prime to p
     for const, coeff in (
         (forms.q1_constant, forms.q12_coefficient),
         (forms.q2_constant, forms.q12_coefficient),
         (forms.q3_constant, forms.q3_coefficient),
     ):
-        for ell in {2, 3, 5, p}:
-            if coeff % ell == 0 and const % ell == 0:
-                raise ArithmeticError(
-                    f"form constant {const} shares factor {ell} with coefficient"
-                )
+        if math.gcd(const, coeff) != 1:
+            raise ArithmeticError(
+                f"form constant {const} is not prime to its coefficient {coeff}"
+            )
     return forms
 
 

@@ -141,6 +141,24 @@ def test_verify_missing_file():
     assert run(["verify", "/nonexistent/path.json"]) == 65
 
 
+def test_verify_reads_utf8_whatever_the_locale(tmp_path, cert5):
+    # a non-ASCII metadata note, read under the C locale with Python's
+    # UTF-8 mode off: the locale would decode the file as ASCII
+    doc = json.loads(emit(cert5))
+    doc["metadata"]["note"] = "vérifié"
+    text = json.dumps(doc, ensure_ascii=False)
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src), LC_ALL="C", PYTHONUTF8="0")
+    for encoding, code in (("utf-8", 0), ("latin-1", cli.EX_DATAERR)):
+        path = tmp_path / f"{encoding}.json"
+        path.write_bytes(text.encode(encoding))
+        done = subprocess.run([sys.executable, "-m", "locyc", "verify", str(path)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == code, (encoding, done.stdout, done.stderr)
+    # the Latin-1 file is not UTF-8, which is a parse error in any locale
+    assert done.stderr.startswith("parse error: 'utf-8' codec can't decode"), done.stderr
+
+
 def test_verify_mutated_certificate(tmp_path, cert5, capsys):
     mutated = replace(cert5, q1=cert5.q1 + 2)
     path = tmp_path / "mut.json"

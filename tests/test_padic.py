@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from locyc import padic
+from locyc.cli import format_expansion
 from locyc.padic import (
-    format_expansion,
     from_rational,
     hensel_lift,
     int_valuation,
@@ -82,6 +83,59 @@ def test_hensel_power_map_instance():
     assert beta % p ** (2 * p + 1) == p
     refined = hensel_lift(coeffs, p, p, j=4 * p + 1, tau=2 * p, precision=30)
     assert (pow(refined, 2 * p, 5**30) - q0) % 5**30 == 0
+
+
+# (coeffs, alpha, p, j, tau): v_p(f(alpha)) >= j, v_p(f'(alpha)) = tau >= 1,
+# from two roots of f that agree mod p^tau
+_REPEATED_ROOTS = [
+    ([-63, 0, 1], 3, 3, 3, 1),  # x^2 - 3^2*7
+    ([0, -3, 1], 18, 3, 3, 1),  # x(x - 3): the lift is the root 0
+    ([0, -3, 1], 81, 3, 3, 1),  # the instance of the fx == 0 exit below
+    ([-567, 0, 1], 9, 3, 5, 2),  # x^2 - 3^4*7
+    ([-12, 20, -9, 1], 26, 5, 3, 1),  # (x - 1)(x - 6)(x - 2)
+    ([-150, 0, 1], 5, 5, 3, 1),  # x^2 - 5^2*6
+    ([-150, 0, 1], 80, 5, 4, 1),  # alpha = 5*16, 16^2 = 6 mod 5^2
+    ([-3750, 0, 1], 25, 5, 5, 2),  # x^2 - 5^4*6
+    ([-98, 0, 1], 21, 7, 3, 1),  # x^2 - 7^2*2
+    ([-4802, 0, 1], 147, 7, 5, 2),  # x^2 - 7^4*2
+]
+
+
+@pytest.mark.parametrize("coeffs, alpha, p, j, tau", _REPEATED_ROOTS)
+def test_hensel_repeated_root_matches_enumeration(coeffs, alpha, p, j, tau):
+    # Near the root beta, v_p(f(x)) = tau + v_p(x - beta), so the roots
+    # of f mod p^(n+tau) in alpha's class are exactly beta mod p^n.  Every
+    # precision n whose modulus p^(n+tau) is at most 5^5 is enumerated.
+    assert hensel_lift(coeffs, alpha, p, j, tau) == hensel_lift(
+        coeffs, alpha, p, j, tau, precision=j - tau)
+    n = 1
+    while p ** (n + tau) <= 5**5:
+        beta = hensel_lift(coeffs, alpha, p, j, tau, precision=n)
+        if n <= j - tau:
+            assert beta == alpha % p**n
+        m, cls = p ** (n + tau), p ** min(j - tau, n + tau)
+        roots = [x for x in range(m) if sum(c * x**i for i, c in enumerate(coeffs)) % m == 0
+                 and (x - alpha) % cls == 0]
+        assert {x % p**n for x in roots} == {beta}
+        if n >= j - tau:
+            assert len(roots) == p**tau
+        n += 1
+
+
+def test_hensel_stops_when_a_newton_step_is_exact(monkeypatch):
+    # x(x - 3) from alpha = 81 = 3^4, stated j = 3 below v_3(f(81)) = 5:
+    # one step makes x a root mod p^work, and the next evaluation of f,
+    # which is 0, ends the lift before the bound known reaches the target
+    values = []
+    evaluate = padic._poly_eval_mod
+
+    def recorded(coeffs, x, m):
+        values.append(evaluate(coeffs, x, m))
+        return values[-1]
+
+    monkeypatch.setattr(padic, "_poly_eval_mod", recorded)
+    assert hensel_lift([0, -3, 1], 81, 3, j=3, tau=1, precision=4) == 0
+    assert len(values) == 3 and values[-1] == 0  # f, f', then f = 0
 
 
 def test_hensel_precondition_reporting():

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from locyc.target_builder import (
@@ -55,6 +57,16 @@ def test_linear_form_coefficients(target5):
     f7 = linear_forms(build_targets(build_bundle(7)))
     assert f7.q12_coefficient == 64 * 7**29
     assert f7.q3_coefficient == 4 * 7**22
+
+
+@pytest.mark.parametrize("field, scale", [("q3_constant", 2), ("s1", 5)])
+def test_linear_forms_rejects_a_constant_sharing_a_factor(target5, field, scale):
+    # 2 and p are the prime factors of the coefficients 64 p^r and
+    # 4 p^(r-p): an even Q3 constant, or a Q1 constant divisible by p,
+    # would make every value of that form composite
+    bad = replace(target5, **{field: getattr(target5, field) * scale})
+    with pytest.raises(ArithmeticError, match="is not prime to its coefficient"):
+        linear_forms(bad)
 
 
 def test_form_identity_q1_minus_q2(target5):
